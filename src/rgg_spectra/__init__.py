@@ -13,7 +13,7 @@ PRNG_ALGORITHM = "PCG64"  # numpy default_rng; recorded in every run manifest
 _EXPORTS = {
     "errors": ["CapacityError", "EstimationError", "RegimeError",
                "SingularityError"],
-    "torus": ["INF", "MetricSpec", "TorusPointSet", "RegimeParams",
+    "torus": ["INF", "MetricSpec", "TorusPointSet",
               "torus_distance", "ball_volume", "radius_for_gamma",
               "sample_uniform_points", "grid_points", "grid_side",
               "write_points_csv", "read_points_csv"],
@@ -21,7 +21,7 @@ _EXPORTS = {
                "dgg_radius", "dgg_for_gamma", "write_graph_csv",
                "read_graph_csv"],
     "laplacian": ["RegNormLaplacian", "assemble_rgg_laplacian",
-                  "assemble_dgg_laplacian", "write_matrix_dump"],
+                  "assemble_dgg_laplacian"],
     "spectra": ["SpectralDistribution", "LevyResult", "ConvergenceRow",
                 "full_spectrum", "spectrum_of_graph", "esd_cdf",
                 "levy_distance", "trace_bound", "lemma2_threshold",

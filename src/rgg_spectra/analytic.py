@@ -36,7 +36,8 @@ def _odd_root(gamma_prime: float, d: int) -> int:
             f"(gamma'+1)^(1/d) must be an integer, got gamma'={gamma_prime}, d={d}")
     if root % 2 == 0:
         raise ValueError(
-            f"(gamma'+1)^(1/d) must be odd, got {root} for gamma'={gamma_prime}")
+            f"stencil side (gamma'+1)^(1/d) must be odd, got {root} "
+            f"for gamma'={gamma_prime}")
     return root
 
 

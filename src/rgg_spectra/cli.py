@@ -258,24 +258,11 @@ def _require(cfg: dict, name: str):
     return value
 
 
-def _odd_side(gamma_prime: int, d: int) -> int:
-    """Stencil side a with a^d = gamma_prime + 1; must be an odd integer."""
-    target = int(gamma_prime) + 1
-    guess = round(target ** (1.0 / d))
-    for cand in (guess - 1, guess, guess + 1):
-        if cand >= 1 and cand ** d == target:
-            if cand % 2 == 0:
-                raise ValueError(
-                    f"gamma_prime = {gamma_prime} gives even stencil side {cand}")
-            return cand
-    raise ValueError(
-        f"gamma_prime must equal (2k+1)^d - 1 for an integer k, got {gamma_prime}")
-
-
 def _resolve_gamma_prime(cfg: dict, d: int) -> int:
     gp = cfg.get("gamma_prime")
     if gp is not None:
-        _odd_side(gp, d)
+        from .analytic import _odd_root
+        _odd_root(gp, d)
         return int(gp)
     gamma = cfg.get("gamma")
     if gamma is None:
@@ -409,7 +396,7 @@ def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
             radius = cfg["radius"]
         else:
             gp = _resolve_gamma_prime(cfg, d)
-            radius = graphs.dgg_radius((_odd_side(gp, d) - 1) // 2, N)
+            radius = graphs.dgg_radius((analytic._odd_root(gp, d) - 1) // 2, N)
         g = graphs.build_dgg(N ** d, d, radius, metric)
         if gp is not None and metric.p == torus.INF:
             analytic_ref = analytic.analytic_spectrum(N, gp, alpha, d)
@@ -493,8 +480,8 @@ def _cmd_levy(cfg: dict, outdir: Path) -> list[Path]:
 
 
 def _dgg_for_gamma_prime(N: int, d: int, gamma_prime: int):
-    from . import graphs
-    k = (_odd_side(gamma_prime, d) - 1) // 2
+    from . import analytic, graphs
+    k = (analytic._odd_root(gamma_prime, d) - 1) // 2
     return graphs.build_dgg(N ** d, d, graphs.dgg_radius(k, N))
 
 

@@ -2,14 +2,13 @@
 
 Random geometric graphs (RGGs) connect sampled points whose lp torus
 distance is at most the connection radius; deterministic geometric graphs
-(DGGs) do the same on the regular N^d lattice.  Neighbor search uses a
-cell list with periodic wraparound, falling back to all-pairs when the
-radius is too large for at least three cells per axis.
+(DGGs) do the same on the regular N^d lattice.  RGG neighbor search is
+scipy's periodic k-d tree (cKDTree with boxsize 1), which compares
+sum_k delta_k^p with radius^p, so a pair exactly at the radius connects.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,8 +39,10 @@ class GeometricGraph:
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with i < j, sorted lexicographically."""
-        out = [(i, j) for i in range(self.n) for j in self.adjacency[i] if i < j]
-        return np.array(out, dtype=np.int64).reshape(-1, 2)
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        dst = np.concatenate([np.empty(0, dtype=np.int64), *self.adjacency])
+        keep = src < dst
+        return np.stack([src[keep], dst[keep]], axis=1)
 
     def mean_degree(self) -> float:
         return float(np.mean(self.degrees))
@@ -55,68 +56,8 @@ def _adjacency_from_pairs(n: int, pairs_i: np.ndarray, pairs_j: np.ndarray):
     src, dst = src[order], dst[order]
     counts = np.bincount(src, minlength=n)
     splits = np.cumsum(counts)[:-1]
-    adjacency = tuple(np.array(a, dtype=np.int64) for a in np.split(dst, splits))
+    adjacency = tuple(np.split(dst.astype(np.int64, copy=False), splits))
     return adjacency, counts.astype(np.int64)
-
-
-def _pairs_within(pts: np.ndarray, idx_a, idx_b, radius: float, p: float):
-    """Indices (into idx_a/idx_b) of cross pairs at torus distance <= radius."""
-    delta = np.abs(pts[idx_a][:, None, :] - pts[idx_b][None, :, :])
-    delta = np.minimum(delta, 1.0 - delta)
-    if p == INF:
-        dist = delta.max(axis=2)
-    else:
-        dist = (delta ** p).sum(axis=2) ** (1.0 / p)
-    return np.nonzero(dist <= radius)
-
-
-def _build_rgg_allpairs(points: TorusPointSet, radius: float, metric: MetricSpec):
-    pts = points.points
-    n = points.n
-    ii, jj = _pairs_within(pts, np.arange(n), np.arange(n), radius, metric.p)
-    keep = ii < jj
-    return ii[keep], jj[keep]
-
-
-def _build_rgg_cells(points: TorusPointSet, radius: float, metric: MetricSpec,
-                     cells_per_axis: int):
-    pts = points.points
-    d = points.dim
-    m = cells_per_axis
-    cell_of = np.minimum((pts * m).astype(np.int64), m - 1)
-    keys = np.ravel_multi_index(cell_of.T, (m,) * d)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    buckets = {int(k): order[s:e] for k, s, e in
-               zip(uniq, starts, np.append(starts[1:], len(order)))}
-
-    # forward offsets: first nonzero component +1, so each cell pair is
-    # visited exactly once even with wraparound (offsets distinct mod m >= 3)
-    forward = []
-    for off in itertools.product((-1, 0, 1), repeat=d):
-        nz = next((c for c in off if c != 0), 0)
-        if nz == 1:
-            forward.append(off)
-
-    shape = (m,) * d
-    pairs_i, pairs_j = [], []
-    for key, members in buckets.items():
-        coords = np.unravel_index(key, shape)
-        ii, jj = _pairs_within(pts, members, members, radius, metric.p)
-        keep = ii < jj
-        pairs_i.append(members[ii[keep]])
-        pairs_j.append(members[jj[keep]])
-        for off in forward:
-            nb_key = int(np.ravel_multi_index(
-                tuple((c + o) % m for c, o in zip(coords, off)), shape))
-            other = buckets.get(nb_key)
-            if other is None:
-                continue
-            ii, jj = _pairs_within(pts, members, other, radius, metric.p)
-            pairs_i.append(members[ii])
-            pairs_j.append(other[jj])
-    return np.concatenate(pairs_i), np.concatenate(pairs_j)
 
 
 def build_rgg(points: TorusPointSet, radius: float,
@@ -127,12 +68,12 @@ def build_rgg(points: TorusPointSet, radius: float,
     """
     if not (0.0 < radius < MAX_RADIUS):
         raise ValueError(f"radius must lie in (0, 0.5), got {radius}")
-    cells = int(1.0 / radius)
-    if cells >= 3:
-        pi, pj = _build_rgg_cells(points, radius, metric, cells)
-    else:
-        pi, pj = _build_rgg_allpairs(points, radius, metric)
-    adjacency, degrees = _adjacency_from_pairs(points.n, pi, pj)
+    # imported here, not at module level, so that start-up does not load
+    # scipy.spatial for commands that never build an RGG
+    from scipy.spatial import cKDTree
+    pairs = cKDTree(points.points, boxsize=1.0).query_pairs(
+        radius, p=metric.p, output_type="ndarray")
+    adjacency, degrees = _adjacency_from_pairs(points.n, pairs[:, 0], pairs[:, 1])
     return GeometricGraph(kind="rgg", n=points.n, dim=points.dim, p=metric.p,
                           radius=radius, adjacency=adjacency, degrees=degrees,
                           seed=points.seed)
@@ -214,12 +155,12 @@ def read_graph_csv(path) -> GeometricGraph:
         n, dim = int(n), int(dim)
         p = INF if p_str == "inf" else float(p_str)
         seed = int(seed_str) if seed_str else None
-        body = fh.read()
-    if body.strip():
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
-        pi, pj = rows[:, 0], rows[:, 1]
-    else:
-        pi = pj = np.array([], dtype=np.int64)
-    adjacency, degrees = _adjacency_from_pairs(n, pi, pj)
+        body_start = fh.tell()
+        if fh.read(1):
+            fh.seek(body_start)
+            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        else:  # edgeless graph; loadtxt would warn about the empty body
+            rows = np.empty((0, 2), dtype=np.int64)
+    adjacency, degrees = _adjacency_from_pairs(n, rows[:, 0], rows[:, 1])
     return GeometricGraph(kind=kind, n=n, dim=dim, p=p, radius=float(radius),
                           adjacency=adjacency, degrees=degrees, seed=seed)

@@ -50,9 +50,9 @@ def _assemble(g: GeometricGraph, alpha: float, denom_degrees: np.ndarray) -> np.
     n = g.n
     A = _adjacency_matrix(g)
     inv_sqrt = 1.0 / np.sqrt(denom_degrees + alpha)
+    # (A_ij + alpha/n) * s_i * s_j is bitwise symmetric: products commute
     M = (A + alpha / n) * np.outer(inv_sqrt, inv_sqrt)
-    L = np.eye(n) - M
-    return (L + L.T) / 2.0  # exact symmetry despite rounding
+    return np.eye(n) - M
 
 
 def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
@@ -77,10 +77,3 @@ def assemble_dgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
         raise SingularityError("alpha = 0 requires minimum degree >= 1")
     L = _assemble(g, alpha, np.full(g.n, float(degree)))
     return RegNormLaplacian(n=g.n, alpha=alpha, matrix=L, source_kind=g.kind)
-
-
-def write_matrix_dump(L: RegNormLaplacian, path) -> None:
-    """Plain-text dump, one row per line, 17 significant digits."""
-    with open(path, "w") as fh:
-        for row in L.matrix:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")

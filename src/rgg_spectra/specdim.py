@@ -142,14 +142,19 @@ def _p0_minus_offset(spec: SpectralDistribution, t: float) -> float:
 def find_heat_horizon(spec: SpectralDistribution,
                       threshold: float = HEAT_SIGNAL_THRESHOLD,
                       t_lo: float = HEAT_T_LO) -> float:
-    """Largest useful fit time: where P0(t) - offset decays to `threshold`."""
+    """Largest useful fit time: where P0(t) - offset decays to `threshold`.
+
+    Raises EstimationError if the signal has not decayed by t = 1e12.
+    """
     if _p0_minus_offset(spec, t_lo) <= threshold:
         return t_lo
     lo, hi = t_lo, t_lo
     while _p0_minus_offset(spec, hi) > threshold:
         hi *= 2.0
         if hi > 1e12:
-            return hi
+            raise EstimationError(
+                f"heat-trace signal still above {threshold} at t = {hi:.3g}; "
+                "the spectrum has a negative eigenvalue")
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if _p0_minus_offset(spec, mid) > threshold:
@@ -191,7 +196,7 @@ def estimate_ds_from_heat_trace(ht: HeatTrace,
         raise EstimationError(
             f"need at least 5 grid times in the window, observed {signal.size}")
     slope, _, r2 = _loglog_fit(t[mask], signal)
-    if r2 < r2_gate:
+    if not r2 >= r2_gate:  # also rejects a NaN fit
         raise EstimationError(
             f"heat-trace fit r_squared {r2:.4f} below gate {r2_gate}; the "
             "decay is not a power law over this window")
@@ -265,7 +270,7 @@ def estimate_ds_from_mc(freq: np.ndarray, n: int,
         raise EstimationError(
             f"need at least 5 usable steps in the window, observed {int(mask.sum())}")
     slope, _, r2 = _loglog_fit(t[mask].astype(float), signal[mask])
-    if r2 < r2_gate:
+    if not r2 >= r2_gate:  # also rejects a NaN fit
         raise EstimationError(
             f"return-frequency fit r_squared {r2:.4f} below gate {r2_gate}")
     return SpecDimEstimate(method="monte_carlo", d_s=-2.0 * slope, slope=slope,

@@ -8,7 +8,7 @@ the constant-mean-degree regime are obtained by inverting the lp ball volume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,21 +59,6 @@ class TorusPointSet:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class RegimeParams:
-    """Constant-mean-degree parameters and the radius they induce."""
-
-    gamma: float
-    n: int
-    d: int
-    radius: float = field(init=False)
-    metric: MetricSpec = MetricSpec()
-
-    def __post_init__(self):
-        r = radius_for_gamma(self.gamma, self.n, self.d, self.metric)
-        object.__setattr__(self, "radius", r)
 
 
 def wrapped_deltas(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Graph construction: RGG vs brute force, grid regularity, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestBuildRgg:
         assert build_rgg(ps, 0.125).edges().shape == (1, 2)
         assert build_rgg(ps, 0.124999).edges().shape == (0, 2)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_axis_tie_connects_for_every_p(self, d, p):
+        # the offset is exactly the radius along one axis; (r^p)^(1/p)
+        # may round above r, so the comparison has to stay in r^p
+        pts = np.zeros((2, d))
+        pts[1, 0] = 0.125
+        g = build_rgg(TorusPointSet(dim=d, points=pts), 0.125, MetricSpec(p))
+        assert g.edges().tolist() == [[0, 1]]
+
     def test_single_point_graph_is_empty(self):
         ps = TorusPointSet(dim=2, points=np.array([[0.5, 0.5]]))
         g = build_rgg(ps, 0.2)
@@ -72,20 +84,29 @@ class TestBuildRgg:
         assert edge_set(g) == brute_force_edges(ps.points, r, 2)
 
     def test_matches_brute_force_many_instances(self):
-        # covers both the cell-list path (small radius) and the all-pairs
-        # fallback (radius near 0.5), all dimensions and metrics
+        # random points at radii from a few points per ball up to near the
+        # 0.5 cap, where most pairs wrap; and lattice points at the radii
+        # k/N, where offsets land exactly on the radius, the one place where
+        # comparing sum delta^p with r^p and taking the root could part
         rng = np.random.default_rng(3)
+        lattice_sides = {1: (5, 8, 12, 33), 2: (5, 7, 10, 12), 3: (4, 5, 7)}
         count = 0
         for d in (1, 2, 3):
             for p in (1.0, 2.0, INF):
+                instances = []
                 for radius in (0.04, 0.11, 0.26, 0.41):
                     for seed in range(6):
                         n = int(rng.integers(24, 128))
                         ps = sample_uniform_points(n, d, [d, int(p * 10) if p != INF else 0, seed])
-                        g = build_rgg(ps, radius, MetricSpec(p))
-                        assert edge_set(g) == brute_force_edges(ps.points, radius, p), \
-                            f"mismatch at d={d} p={p} r={radius} seed={seed}"
-                        count += 1
+                        instances.append((ps, radius, f"seed={seed}"))
+                for N in lattice_sides[d]:
+                    instances += [(grid_points(N ** d, d), k / N, f"lattice N={N}")
+                                  for k in range(1, (N + 1) // 2)]
+                for ps, radius, label in instances:
+                    g = build_rgg(ps, radius, MetricSpec(p))
+                    assert edge_set(g) == brute_force_edges(ps.points, radius, p), \
+                        f"mismatch at d={d} p={p} r={radius} {label}"
+                    count += 1
         assert count >= 200
 
     def test_adjacency_structure(self):
@@ -193,5 +214,7 @@ class TestGraphCsv:
         g = build_rgg(ps, 0.05)
         path = tmp_path / "graph.csv"
         write_graph_csv(g, path)
-        back = read_graph_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's "no data" warning
+            back = read_graph_csv(path)
         assert back.n == 2 and back.edges().shape == (0, 2)

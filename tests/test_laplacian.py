@@ -13,7 +13,6 @@ from rgg_spectra import (
     build_rgg,
     dgg_for_gamma,
     sample_uniform_points,
-    write_matrix_dump,
 )
 
 
@@ -107,13 +106,3 @@ class TestSpectralIdentities:
         sums = (A + alpha / g.n).sum(axis=1)
         assert np.allclose(sums, g.degrees + alpha, atol=1e-12)
 
-
-class TestMatrixDump:
-    def test_dump_round_trips(self, tmp_path):
-        g = build_dgg(16, 1, 0.15)
-        L = assemble_dgg_laplacian(g, 0.3)
-        path = tmp_path / "laplacian.txt"
-        write_matrix_dump(L, path)
-        back = np.loadtxt(path)
-        assert back.shape == (16, 16)
-        assert np.array_equal(back, L.matrix)

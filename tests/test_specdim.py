@@ -131,6 +131,13 @@ class TestHeatHorizon:
         ratios = grid[1:] / grid[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
+    def test_negative_eigenvalue_fails_loudly(self):
+        # exp(-t * lambda) grows for lambda < 0, so the signal never decays
+        sd = SpectralDistribution.from_values([-1e-3, 0.0, 0.5, 1.0, 1.5])
+        with np.errstate(over="ignore"), \
+                pytest.raises(EstimationError, match="negative eigenvalue"):
+            find_heat_horizon(sd)
+
     def test_no_signal_grid_rejected(self):
         # the two-level spectrum has decayed far below threshold by t = 10
         sd = SpectralDistribution.from_values([0.0, 2.0])
@@ -153,6 +160,14 @@ class TestHeatEstimator:
         ht = heat_trace(sd, t)
         with pytest.raises(EstimationError, match="r_squared"):
             estimate_ds_from_heat_trace(ht)
+
+    def test_nan_fit_fails_r2_gate(self):
+        # a negative eigenvalue overflows P0(t) to inf, and the fit to NaN
+        sd = SpectralDistribution.from_values([-1e-3, 0.0, 0.5, 1.0, 1.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ht = heat_trace(sd, np.logspace(1, 12, 200))
+            with pytest.raises(EstimationError, match="r_squared nan"):
+                estimate_ds_from_heat_trace(ht)
 
     def test_empty_window_rejected(self):
         t = np.logspace(1, 2, 20)
@@ -248,6 +263,14 @@ class TestMcEstimator:
         freq = np.zeros(14)
         freq[10:13] = 0.5
         with pytest.raises(EstimationError, match="at least 5"):
+            estimate_ds_from_mc(freq, n=10 ** 6)
+
+    def test_nan_fit_fails_r2_gate(self):
+        freq = np.full(200, 1e-6)
+        freq[10:150] = 1.0 / np.arange(10, 150)
+        freq[100] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(EstimationError, match="r_squared nan"):
             estimate_ds_from_mc(freq, n=10 ** 6)
 
     def test_erratic_signal_fails_r2_gate(self):

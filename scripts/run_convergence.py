@@ -2,9 +2,9 @@
 """Levy-distance convergence of RGG spectra toward the matched grid.
 
 For each size n and seed, samples a random geometric graph at the radius
-solving the mean-degree equation, builds the degree-matched grid graph on
+solving the mean-degree equation, takes the degree-matched grid graph on
 the same n, and records the Levy distance between the two regularized
-spectra.  Medians of the cubed distance should fall as n grows.
+spectra (the grid's from its closed form).  Medians of the cubed distance should fall as n grows.
 
 Usage:
   python scripts/run_convergence.py

@@ -17,6 +17,8 @@ import numpy as np
 
 from .torus import INF, MAX_RADIUS, MetricSpec, TorusPointSet, grid_side
 
+_CSV_CHUNK = 1 << 16  # edges formatted per write in write_graph_csv
+
 
 @dataclass(frozen=True)
 class GeometricGraph:
@@ -84,7 +86,9 @@ def build_dgg(n: int, d: int, radius: float,
     """Geometric graph on the N^d lattice, N = n^(1/d).
 
     Vertex-transitive: every node sees the same offset stencil.  Under the
-    Chebyshev metric each degree equals (2*floor(N*radius)+1)^d - 1.
+    Chebyshev metric each degree equals (2*floor(N*radius)+1)^d - 1.  An
+    offset connects by the k-d tree's rule in build_rgg, sum delta^p <=
+    radius^p, so ties at exactly the radius connect for every p.
     """
     if not (0.0 < radius < MAX_RADIUS):
         raise ValueError(f"radius must lie in (0, 0.5), got {radius}")
@@ -96,8 +100,11 @@ def build_dgg(n: int, d: int, radius: float,
             continue
         delta = np.abs(np.array(off, dtype=float)) / N
         delta = np.minimum(delta, 1.0 - delta)
-        dist = delta.max() if metric.p == INF else (delta ** metric.p).sum() ** (1.0 / metric.p)
-        if dist <= radius:
+        if metric.p == INF:
+            within = delta.max() <= radius
+        else:
+            within = (delta ** metric.p).sum() <= radius ** metric.p
+        if within:
             offsets.append(off)
     offsets = np.array(offsets, dtype=np.int64).reshape(-1, d)
 
@@ -145,8 +152,12 @@ def write_graph_csv(g: GeometricGraph, path) -> None:
     seed_str = "" if g.seed is None else str(g.seed)
     with open(path, "w") as fh:
         fh.write(f"{g.kind},{g.n},{g.dim},{p_str},{'%.17g' % g.radius},{seed_str}\n")
-        for i, j in g.edges():
-            fh.write(f"{i},{j}\n")
+        edges = g.edges()
+        # chunked, so the Python ints and strings of the whole edge list
+        # never exist at once
+        for start in range(0, len(edges), _CSV_CHUNK):
+            chunk = edges[start:start + _CSV_CHUNK].tolist()
+            fh.write("".join(map("%d,%d\n".__mod__, map(tuple, chunk))))
 
 
 def read_graph_csv(path) -> GeometricGraph:

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import SingularityError
 from .graphs import GeometricGraph
 
+# elements per row block of the symmetry scan (2 MB of float64)
+_SYMMETRY_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class RegNormLaplacian:
@@ -34,25 +37,32 @@ class RegNormLaplacian:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"matrix must be {self.n}x{self.n}")
-        if np.max(np.abs(m - m.T), initial=0.0) > 1e-14:
-            raise ValueError("matrix must be symmetric to 1e-14")
+        # row block against column block, so the temporaries stay a
+        # fraction of the matrix
+        rows = max(1, _SYMMETRY_BLOCK // max(self.n, 1))
+        for i in range(0, self.n, rows):
+            diff = m[i:i + rows] - m[:, i:i + rows].T
+            np.abs(diff, out=diff)
+            if np.max(diff, initial=0.0) > 1e-14:
+                raise ValueError("matrix must be symmetric to 1e-14")
         object.__setattr__(self, "matrix", m)
 
 
-def _adjacency_matrix(g: GeometricGraph) -> np.ndarray:
-    A = np.zeros((g.n, g.n))
-    for i, nbrs in enumerate(g.adjacency):
-        A[i, nbrs] = 1.0
-    return A
-
-
 def _assemble(g: GeometricGraph, alpha: float, denom_degrees: np.ndarray) -> np.ndarray:
+    """eye(n) - (A + alpha/n) * outer(s, s), built in one n x n buffer."""
     n = g.n
-    A = _adjacency_matrix(g)
-    inv_sqrt = 1.0 / np.sqrt(denom_degrees + alpha)
+    s = 1.0 / np.sqrt(denom_degrees + alpha)
     # (A_ij + alpha/n) * s_i * s_j is bitwise symmetric: products commute
-    M = (A + alpha / n) * np.outer(inv_sqrt, inv_sqrt)
-    return np.eye(n) - M
+    L = np.multiply.outer(s, s)
+    rows = np.repeat(np.arange(n), g.degrees)
+    cols = np.concatenate(g.adjacency)
+    edge = (1.0 + alpha / n) * L[rows, cols]
+    L *= alpha / n
+    L[rows, cols] = edge
+    # 0.0 - x, not -x: an entry of M equal to +0.0 stays +0.0, as in eye - M
+    np.subtract(0.0, L, out=L)
+    L.flat[::n + 1] += 1.0
+    return L
 
 
 def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:

@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError
-from .graphs import GeometricGraph, dgg_degree, dgg_for_gamma
+from .analytic import analytic_spectrum
+from .errors import CapacityError, SingularityError
+from .graphs import GeometricGraph, dgg_degree
 from .laplacian import RegNormLaplacian, assemble_dgg_laplacian, assemble_rgg_laplacian
 from .torus import MetricSpec, grid_side, radius_for_gamma, sample_uniform_points
 from .graphs import build_rgg
@@ -56,22 +57,23 @@ def esd_cdf(sd: SpectralDistribution, x, side: str = "left") -> np.ndarray:
                            side=side) / sd.n
 
 
+def _check_dense_cap(n: int) -> None:
+    if n > DENSE_CAP:
+        raise CapacityError(
+            f"n = {n} exceeds dense cap {DENSE_CAP}; use the closed-form "
+            "grid spectrum for larger grids")
+
+
 def full_spectrum(L: RegNormLaplacian) -> SpectralDistribution:
     """Dense symmetric eigensolve of the whole operator."""
-    if L.n > DENSE_CAP:
-        raise CapacityError(
-            f"n = {L.n} exceeds dense cap {DENSE_CAP}; use the closed-form "
-            "grid spectrum for larger grids")
+    _check_dense_cap(L.n)
     ev = np.linalg.eigvalsh(L.matrix)
     return SpectralDistribution.from_values(ev)
 
 
 def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
     """Assemble the regularized Laplacian of g and eigensolve it."""
-    if g.n > DENSE_CAP:
-        raise CapacityError(
-            f"n = {g.n} exceeds dense cap {DENSE_CAP}; use the closed-form "
-            "grid spectrum for larger grids")
+    _check_dense_cap(g.n)
     if g.kind == "dgg":
         L = assemble_dgg_laplacian(g, alpha)
     else:
@@ -156,18 +158,27 @@ def convergence_study(d: int, gamma: float, alpha: float,
     """Levy distance between RGG and grid ESDs at matched gamma, per trial.
 
     For each (n, seed): sample an RGG at the radius solving the mean-degree
-    equation, take the grid graph whose degree is dgg_degree(gamma, d) on
-    the same n, and compare the two regularized spectra.  Trials draw from
-    independent streams keyed by (seed, n).  The grid spectrum is reused
-    across seeds since it does not depend on them.
+    equation, eigensolve its regularized Laplacian, and compare that
+    spectrum with the one of the grid graph whose degree is
+    dgg_degree(gamma, d) on the same n.  The grid side is the closed form
+    (analytic_spectrum), which equals the grid graph's dense spectrum to
+    rounding; it raises what the dense route would, including the dense
+    cap on n.  Trials draw from independent streams keyed by (seed, n).
     """
     gp = dgg_degree(gamma, d)
+    # the dense route's checks on the grid side, which the closed form
+    # would not make (at gp + alpha = 0 it divides by zero)
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    if alpha == 0 and gp == 0:
+        raise SingularityError("alpha = 0 requires minimum degree >= 1")
     thr = lemma2_threshold(gamma, gp, alpha)
     rows = []
     for n in n_list:
         N = grid_side(n, d)
-        dgg = dgg_for_gamma(gamma, N, d)
-        sd_dgg = spectrum_of_graph(dgg, alpha)
+        _check_dense_cap(n)
+        sd_dgg = SpectralDistribution.from_values(
+            analytic_spectrum(N, gp, alpha, d))
         radius = radius_for_gamma(gamma, n, d, metric)
         for seed in seeds:
             pts = sample_uniform_points(n, d, [seed, n])

@@ -145,6 +145,20 @@ class TestBuildDgg:
             rgg = build_rgg(grid_points(n, d), r)
             assert edge_set(dgg) == edge_set(rgg)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    @pytest.mark.parametrize("d,N", [(1, 8), (1, 16), (1, 64), (2, 8),
+                                     (2, 16), (3, 8)])
+    def test_equals_rgg_on_lattice_points_at_ties(self, d, N, p):
+        # dyadic N keeps the coordinates i/N exact, so offsets of exactly
+        # k lattice steps tie with the radius k/N in both builders
+        pts = grid_points(N ** d, d)
+        radii = [k / N for k in range(1, (N + 1) // 2)]
+        radii += [(k + 0.5) / N for k in range(N // 2)]
+        for r in radii:
+            dgg = build_dgg(N ** d, d, r, MetricSpec(p))
+            rgg = build_rgg(pts, r, MetricSpec(p))
+            assert np.array_equal(dgg.edges(), rgg.edges()), f"radius {r}"
+
     def test_vertex_transitive_and_consistent(self):
         g = build_dgg(49, 2, 0.22)
         assert len(set(g.degrees.tolist())) == 1
@@ -208,6 +222,16 @@ class TestGraphCsv:
         back = read_graph_csv(path)
         assert back.p == INF and back.seed is None
         assert edge_set(back) == edge_set(g)
+
+    def test_writer_bytes_match_line_per_edge_reference(self, tmp_path):
+        ps = sample_uniform_points(20000, 1, 3)
+        g = build_rgg(ps, radius_for_gamma(8, 20000, 1))
+        assert g.edges().shape[0] > 1 << 16  # spans more than one write chunk
+        path = tmp_path / "graph.csv"
+        write_graph_csv(g, path)
+        expect = f"rgg,20000,1,inf,{'%.17g' % g.radius},3\n" + "".join(
+            f"{i},{j}\n" for i, j in g.edges())
+        assert path.read_text() == expect
 
     def test_round_trip_edgeless(self, tmp_path):
         ps = TorusPointSet(dim=1, points=np.array([[0.1], [0.6]]))

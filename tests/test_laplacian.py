@@ -16,6 +16,15 @@ from rgg_spectra import (
 )
 
 
+def reference_matrix(g, alpha, denom_degrees):
+    """eye(n) - (A + alpha/n) * outer(s, s) from the dense adjacency matrix."""
+    A = np.zeros((g.n, g.n))
+    for i, nbrs in enumerate(g.adjacency):
+        A[i, nbrs] = 1.0
+    s = 1.0 / np.sqrt(denom_degrees + alpha)
+    return np.eye(g.n) - (A + alpha / g.n) * np.outer(s, s)
+
+
 def two_points(connected):
     pts = np.array([[0.2], [0.3]]) if connected else np.array([[0.1], [0.6]])
     return build_rgg(TorusPointSet(dim=1, points=pts), 0.125)
@@ -49,6 +58,34 @@ class TestAssembly:
         bad = np.array([[1.0, 0.2], [0.1, 1.0]])
         with pytest.raises(ValueError):
             RegNormLaplacian(n=2, alpha=0.0, matrix=bad, source_kind="rgg")
+
+    @pytest.mark.parametrize("col", [0, 1022])
+    def test_symmetry_checked_in_every_row_block(self, col):
+        n = 1024  # the scan compares several row blocks at this order
+        m = np.eye(n)
+        # row n-1 lies in the last block; column 1022 does too, so only
+        # that block sees the asymmetry
+        m[n - 1, col] = 2e-14
+        with pytest.raises(ValueError):
+            RegNormLaplacian(n=n, alpha=0.0, matrix=m, source_kind="rgg")
+        m[n - 1, col] = 1e-15
+        RegNormLaplacian(n=n, alpha=0.0, matrix=m, source_kind="rgg")
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+    def test_rgg_bitwise_equals_reference(self, alpha):
+        g = build_rgg(sample_uniform_points(300, 2, 4), 0.1)
+        assert g.degrees.min() > 0 and len(set(g.degrees.tolist())) > 1
+        L = assemble_rgg_laplacian(g, alpha).matrix
+        # bytes, not values, so that a -0.0 where the reference has +0.0 fails
+        assert L.tobytes() == reference_matrix(
+            g, alpha, g.degrees.astype(float)).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+    def test_dgg_bitwise_equals_reference(self, alpha):
+        for g in (dgg_for_gamma(4, 128, 1), build_dgg(144, 2, 0.2)):
+            L = assemble_dgg_laplacian(g, alpha).matrix
+            degree = np.full(g.n, float(g.degrees[0]))
+            assert L.tobytes() == reference_matrix(g, alpha, degree).tobytes()
 
 
 class TestGridEntries:

@@ -5,22 +5,31 @@ import pytest
 
 from levy_oracle import levy_grid_bisect, levy_grid_scan
 from rgg_spectra import (
+    DENSE_CAP,
+    INF,
     CapacityError,
+    MetricSpec,
     RegNormLaplacian,
+    SingularityError,
     SpectralDistribution,
     TorusPointSet,
     assemble_rgg_laplacian,
     build_dgg,
+    analytic_spectrum,
     build_rgg,
     convergence_study,
     dgg_degree,
+    dgg_for_gamma,
     esd_cdf,
     full_spectrum,
     lemma2_threshold,
     levy_distance,
+    radius_for_gamma,
+    sample_uniform_points,
     spectrum_of_graph,
     trace_bound,
 )
+from rgg_spectra.torus import grid_side
 
 
 def sd(values):
@@ -167,9 +176,65 @@ class TestLemma2Threshold:
             lemma2_threshold(4.0, -1.0, 0.1)
 
 
+def dense_route_levy(d, gamma, alpha, metric, n_list, seeds):
+    """Study Levy distances with the grid side from the dense eigensolve."""
+    out = []
+    for n in n_list:
+        sd_dgg = spectrum_of_graph(dgg_for_gamma(gamma, grid_side(n, d), d), alpha)
+        radius = radius_for_gamma(gamma, n, d, metric)
+        for seed in seeds:
+            g = build_rgg(sample_uniform_points(n, d, [seed, n]), radius, metric)
+            out.append(levy_distance(spectrum_of_graph(g, alpha), sd_dgg).distance)
+    return out
+
+
+# (d, gamma, n_list); n = 9 with gamma = 4 and n = 25 with gamma = 4 give
+# 2k+1 = N, the branch where dgg_radius falls to (k + 0.25)/N
+STUDY_CASES = [
+    (1, 4.0, [9, 64, 128]),
+    (1, 16.0, [256]),
+    (2, 4.0, [25, 64]),
+    (2, 1.5, [49]),
+]
+
+
 class TestConvergenceStudy:
+    @pytest.mark.parametrize("d,gamma,n_list", STUDY_CASES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_closed_form_grid_side_matches_dense(self, d, gamma, n_list, alpha):
+        gp = dgg_degree(gamma, d)
+        for n in n_list:
+            N = grid_side(n, d)
+            dense = spectrum_of_graph(dgg_for_gamma(gamma, N, d), alpha)
+            closed = sd(analytic_spectrum(N, gp, alpha, d))
+            assert np.max(np.abs(closed.eigenvalues - dense.eigenvalues)) <= 1e-10
+
+    @pytest.mark.parametrize("d,gamma,n_list", STUDY_CASES)
+    @pytest.mark.parametrize("metric", [MetricSpec(INF), MetricSpec(2.0)])
+    def test_levy_distances_match_dense_route(self, d, gamma, n_list, metric):
+        rows = convergence_study(d, gamma, 0.1, metric, n_list, seeds=[0, 1])
+        expect = dense_route_levy(d, gamma, 0.1, metric, n_list, [0, 1])
+        assert [r.levy for r in rows] == pytest.approx(expect, abs=1e-9, rel=0)
+
+    def test_unregularized_degree_zero_grid_is_singular(self):
+        assert dgg_degree(0.5, 1) == 0
+        with pytest.raises(SingularityError):
+            convergence_study(1, 0.5, 0.0, MetricSpec(INF), [64], [0])
+
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            convergence_study(1, 4.0, -0.1, MetricSpec(INF), [64], [0])
+
+    def test_stencil_wider_than_grid_rejected(self):
+        # gamma = 8 in d = 1 needs a 17-wide stencil; the grid side is 16
+        with pytest.raises(ValueError, match="exceeds grid side"):
+            convergence_study(1, 8.0, 0.1, MetricSpec(INF), [16], [0])
+
+    def test_order_above_dense_cap_rejected(self):
+        with pytest.raises(CapacityError):
+            convergence_study(1, 4.0, 0.1, MetricSpec(INF), [DENSE_CAP + 1], [0])
+
     def test_rows_and_determinism(self):
-        from rgg_spectra import MetricSpec, INF
         rows = convergence_study(1, 4.0, 0.1, MetricSpec(INF),
                                  n_list=[64, 128], seeds=[0, 1])
         assert len(rows) == 4

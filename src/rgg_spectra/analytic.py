@@ -22,6 +22,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import SingularityError
+
 
 def _odd_root(gamma_prime: float, d: int) -> int:
     """(gamma'+1)^(1/d) when it is an odd integer, else a ValueError."""
@@ -41,7 +43,16 @@ def _odd_root(gamma_prime: float, d: int) -> int:
     return root
 
 
-def _check_mode_geometry(gamma_prime: float, d: int, N: int) -> int:
+def _check_regularizer(gamma_prime: float, alpha: float) -> None:
+    """The dense assembly's checks on alpha, with its messages."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    if gamma_prime + alpha == 0:
+        raise SingularityError("alpha = 0 requires minimum degree >= 1")
+
+
+def _check_mode_geometry(gamma_prime: float, alpha: float, d: int, N: int) -> int:
+    _check_regularizer(gamma_prime, alpha)
     a = _odd_root(gamma_prime, d)
     if a > N:
         raise ValueError(
@@ -62,7 +73,7 @@ def _dirichlet(m: np.ndarray, a: int, N: int) -> np.ndarray:
 def dgg_eigenvalue(mode: Sequence[int], gamma_prime: float, alpha: float,
                    d: int, N: int) -> float:
     """Closed-form eigenvalue at one Fourier mode of the N^d grid."""
-    a = _check_mode_geometry(gamma_prime, d, N)
+    a = _check_mode_geometry(gamma_prime, alpha, d, N)
     m = np.asarray(mode, dtype=np.int64)
     if m.shape != (d,):
         raise ValueError(f"mode must have {d} components")
@@ -80,7 +91,7 @@ def iter_modes(N: int, d: int) -> Iterator[tuple[int, ...]]:
 
 def analytic_spectrum(N: int, gamma_prime: float, alpha: float, d: int) -> np.ndarray:
     """All N^d closed-form eigenvalues, ascending."""
-    a = _check_mode_geometry(gamma_prime, d, N)
+    a = _check_mode_geometry(gamma_prime, alpha, d, N)
     axis = _dirichlet(np.arange(N), a, N)
     prod = axis
     for _ in range(d - 1):
@@ -100,7 +111,7 @@ def mode_table(N: int, gamma_prime: float, alpha: float,
     one dimension, (m/N)^d on the diagonal), and lam[i] is the closed-form
     eigenvalue of modes[i], unsorted.
     """
-    a = _check_mode_geometry(gamma_prime, d, N)
+    a = _check_mode_geometry(gamma_prime, alpha, d, N)
     axis = _dirichlet(np.arange(N), a, N)
     prod = axis
     for _ in range(d - 1):
@@ -169,7 +180,7 @@ def taylor_lambda(w, gamma_prime: float, alpha: float, d: int):
 
 def fiedler_eigenvalue(N: int, gamma_prime: float, alpha: float, d: int) -> float:
     """The second-smallest eigenvalue, i.e. the mode (1, 0, ..., 0)."""
-    a = _check_mode_geometry(gamma_prime, d, N)
+    a = _check_mode_geometry(gamma_prime, alpha, d, N)
     ratio = math.sin(math.pi * a / N) / math.sin(math.pi / N)
     return 1.0 / (gamma_prime + alpha) + 1.0 \
         - (1.0 + gamma_prime) ** ((d - 1.0) / d) * ratio / (gamma_prime + alpha)

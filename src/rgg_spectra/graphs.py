@@ -10,7 +10,6 @@ sum_k delta_k^p with radius^p, so a pair exactly at the radius connects.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +117,25 @@ def build_dgg(n: int, d: int, radius: float,
                           adjacency=adjacency, degrees=degrees, seed=None)
 
 
-def dgg_degree(gamma: float, d: int) -> int:
-    """Grid degree matched to mean degree gamma: (2*floor(gamma^(1/d))+1)^d - 1."""
+def _stencil_half_width(gamma: float, d: int) -> int:
+    """floor(gamma^(1/d)), exact also when gamma is a perfect d-th power.
+
+    The float root alone is not: 64 ** (1/3) is 3.9999999999999996.
+    """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    k = math.floor(gamma ** (1.0 / d))
-    return (2 * k + 1) ** d - 1
+    k = round(gamma ** (1.0 / d))
+    # int ** int against a float compares exactly
+    while k ** d > gamma:
+        k -= 1
+    while (k + 1) ** d <= gamma:
+        k += 1
+    return k
+
+
+def dgg_degree(gamma: float, d: int) -> int:
+    """Grid degree matched to mean degree gamma: (2*floor(gamma^(1/d))+1)^d - 1."""
+    return (2 * _stencil_half_width(gamma, d) + 1) ** d - 1
 
 
 def dgg_radius(k: int, N: int) -> float:
@@ -142,7 +154,7 @@ def dgg_radius(k: int, N: int) -> float:
 
 def dgg_for_gamma(gamma: float, N: int, d: int) -> GeometricGraph:
     """Chebyshev DGG whose degree is dgg_degree(gamma, d)."""
-    k = math.floor(gamma ** (1.0 / d))
+    k = _stencil_half_width(gamma, d)
     return build_dgg(N ** d, d, dgg_radius(k, N), MetricSpec(INF))
 
 

@@ -41,6 +41,12 @@ MC_T_LO = 10
 MC_SIGNAL_FLOOR = 1e-3
 MC_R2_GATE = 0.9
 MC_BATCH = 4096
+# Walk steps drawn per rng.integers call.  Any block size reads the same
+# stream as one call per step: PCG64 keeps a half-used 32-bit word across
+# calls, Lemire rejection skips single words, and the draws fill the block
+# in row-major (step-major) order.  16 steps of MC_BATCH int64 choices are
+# 512 KB; all 512 steps of a batch at once would be 16 MB.
+_MC_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -213,7 +219,9 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
     expectation of the return frequency equals (1/n) sum_i nu_i^t over the
     transition eigenvalues nu_i.  Walkers are simulated in fixed-size
     batches with streams keyed by (seed, batch index), so results do not
-    depend on scheduling.
+    depend on scheduling.  Within a batch the steps are drawn in blocks
+    from the same stream that one draw per step would read, so the
+    frequencies are bit-identical for every block size.
     """
     if np.any(g.degrees == 0):
         raise ValueError("graph has a zero-degree node; walks are undefined")
@@ -222,20 +230,30 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
         raise ValueError("return-probability walks require a regular graph")
     if t_max < 0 or walkers < 1:
         raise ValueError("t_max must be >= 0 and walkers >= 1")
-    neighbor_table = np.stack(g.adjacency)
+    # Walkers carry node * degree, so the neighbor table is flat and one
+    # step is an add and a take: table[pos + choice] = neighbor * degree.
+    table = np.concatenate(g.adjacency).astype(np.intp) * degree
     counts = np.zeros(t_max + 1, dtype=np.int64)
     done = 0
     batch_index = 0
     while done < walkers:
         size = min(MC_BATCH, walkers - done)
         rng = np.random.default_rng([seed, batch_index])
-        start = rng.integers(0, g.n, size=size)
+        start = rng.integers(0, g.n, size=size).astype(np.intp) * degree
         pos = start.copy()
+        idx = np.empty(size, dtype=np.intp)
+        hit = np.empty(size, dtype=bool)
         counts[0] += size
-        for t in range(1, t_max + 1):
-            choice = rng.integers(0, degree, size=size)
-            pos = neighbor_table[pos, choice]
-            counts[t] += int(np.sum(pos == start))
+        for t0 in range(1, t_max + 1, _MC_BLOCK):
+            steps = min(_MC_BLOCK, t_max + 1 - t0)
+            choices = rng.integers(0, degree, size=(steps, size))
+            for t, choice in enumerate(choices, t0):
+                np.add(pos, choice, out=idx)
+                # indices are in range by construction; "clip" lets take
+                # write into pos without the buffer "raise" mode needs
+                np.take(table, idx, out=pos, mode="clip")
+                np.equal(pos, start, out=hit)
+                counts[t] += np.count_nonzero(hit)
         done += size
         batch_index += 1
     return counts / walkers

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import analytic_spectrum
-from .errors import CapacityError, SingularityError
+from .analytic import _check_regularizer, analytic_spectrum
+from .errors import CapacityError
 from .graphs import GeometricGraph, dgg_degree
 from .laplacian import RegNormLaplacian, assemble_dgg_laplacian, assemble_rgg_laplacian
 from .torus import MetricSpec, grid_side, radius_for_gamma, sample_uniform_points
@@ -132,9 +132,13 @@ def trace_bound(a: RegNormLaplacian, b: RegNormLaplacian) -> float:
 
 
 def lemma2_threshold(gamma: float, gamma_prime: float, alpha: float) -> float:
-    """max(4 gamma'/(gamma'+alpha)^2, 8 gamma/(gamma+alpha)^2)."""
-    if gamma <= 0 or gamma_prime <= 0:
-        raise ValueError("gamma and gamma_prime must be positive")
+    """max(4 gamma'/(gamma'+alpha)^2, 8 gamma/(gamma+alpha)^2).
+
+    A degree-0 grid (gamma' = 0) is allowed when alpha > 0.
+    """
+    if gamma <= 0 or gamma_prime < 0:
+        raise ValueError("gamma must be positive and gamma_prime nonnegative")
+    _check_regularizer(gamma_prime, alpha)
     return max(4.0 * gamma_prime / (gamma_prime + alpha) ** 2,
                8.0 * gamma / (gamma + alpha) ** 2)
 
@@ -166,12 +170,7 @@ def convergence_study(d: int, gamma: float, alpha: float,
     cap on n.  Trials draw from independent streams keyed by (seed, n).
     """
     gp = dgg_degree(gamma, d)
-    # the dense route's checks on the grid side, which the closed form
-    # would not make (at gp + alpha = 0 it divides by zero)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha == 0 and gp == 0:
-        raise SingularityError("alpha = 0 requires minimum degree >= 1")
+    # raises the dense route's alpha errors before any trial runs
     thr = lemma2_threshold(gamma, gp, alpha)
     rows = []
     for n in n_list:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgg_spectra import (
+    SingularityError,
     analytic_spectrum,
     build_dgg,
     dgg_eigenvalue,
@@ -60,6 +61,36 @@ class TestModeFormula:
             dgg_eigenvalue((1,), 4, 0.0, 2, 8)  # mode length mismatch
         with pytest.raises(ValueError):
             dgg_eigenvalue((8,), 4, 0.0, 1, 8)  # mode out of range
+
+
+# every closed-form entry point that takes a grid side, called at (gp, alpha)
+CLOSED_FORMS = {
+    "analytic_spectrum": lambda gp, alpha: analytic_spectrum(8, gp, alpha, 1),
+    "mode_table": lambda gp, alpha: mode_table(8, gp, alpha, 1),
+    "dgg_eigenvalue": lambda gp, alpha: dgg_eigenvalue((1,), gp, alpha, 1, 8),
+    "fiedler_eigenvalue": lambda gp, alpha: fiedler_eigenvalue(8, gp, alpha, 1),
+}
+
+
+class TestAlphaValidation:
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_negative_alpha_rejected(self, name):
+        # gp + alpha = 1.5 would not divide by zero; the sign alone is wrong
+        with pytest.raises(ValueError, match="alpha must be nonnegative") as info:
+            CLOSED_FORMS[name](2, -0.5)
+        assert not isinstance(info.value, SingularityError)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_unregularized_degree_zero_is_singular(self, name):
+        with pytest.raises(SingularityError, match="minimum degree"):
+            CLOSED_FORMS[name](0, 0.0)
+
+    def test_degree_zero_with_regularizer_matches_dense(self):
+        # gp = 0 leaves only the regularizer: the edgeless grid
+        dense = spectrum_of_graph(build_dgg(8, 1, dgg_radius(0, 8)), 0.5)
+        closed = analytic_spectrum(8, 0, 0.5, 1)
+        assert np.max(np.abs(closed - dense.eigenvalues)) <= 1e-12
+        assert fiedler_eigenvalue(8, 0, 0.5, 1) == pytest.approx(closed[1], abs=1e-12)
 
 
 class TestAgainstEigensolver:

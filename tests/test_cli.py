@@ -113,6 +113,27 @@ class TestAnalyticSpectrumCommand:
         assert code == EXIT_OK
         assert read_manifest(out)["config"]["gamma"] == 2.0
 
+    def test_perfect_power_gamma_resolves_exactly(self, tmp_path, capsys):
+        # 64 ** (1/3) is 3.9999999999999996; the stencil half-width is 4
+        code = main(["analytic-spectrum", "--d", "3", "--N", "9",
+                     "--gamma", "64", "--out", str(tmp_path / "run")])
+        assert code == EXIT_OK
+        assert "gamma_prime=728 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gamma_prime,alpha,message", [
+        ("0", "0", "minimum degree"),
+        ("2", "-0.5", "alpha must be nonnegative"),
+    ])
+    def test_invalid_alpha_is_usage_error(self, tmp_path, capsys, gamma_prime,
+                                          alpha, message):
+        out = tmp_path / "x"
+        code = main(["analytic-spectrum", "--d", "1", "--N", "8",
+                     "--gamma-prime", gamma_prime, "--alpha", alpha,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (out / "eigenvalues.csv").exists()
+
     def test_invalid_grid_degree_is_usage_error(self, tmp_path, capsys):
         code = main(["analytic-spectrum", "--d", "1", "--N", "16",
                      "--gamma-prime", "5", "--out", str(tmp_path / "x")])

@@ -1,5 +1,6 @@
 """Graph construction: RGG vs brute force, grid regularity, serialization."""
 
+import math
 import warnings
 
 import numpy as np
@@ -178,6 +179,30 @@ class TestDegreeHelpers:
     ])
     def test_dgg_degree_formula(self, gamma, d, expect):
         assert dgg_degree(gamma, d) == expect
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_dgg_degree_exact_on_perfect_powers(self, d):
+        # the float root misses some powers: 64 ** (1/3) is 3.9999999999999996
+        for k in range(1, 21):
+            power = k ** d
+            assert dgg_degree(power, d) == (2 * k + 1) ** d - 1
+            assert dgg_degree(float(power), d) == (2 * k + 1) ** d - 1
+            below = np.nextafter(float(power), 0.0)
+            assert dgg_degree(below, d) == (2 * k - 1) ** d - 1
+
+    def test_dgg_degree_rejects_negative_gamma(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dgg_degree(-1.0, 2)
+
+    def test_dgg_for_gamma_exact_on_perfect_powers(self):
+        # floor(gamma ** (1/d)) gives k - 1 at each of these cubes
+        for gamma, d, k, N in ((64, 3, 4, 9), (64, 3, 4, 10), (125, 3, 5, 11)):
+            assert math.floor(gamma ** (1.0 / d)) == k - 1
+            g = dgg_for_gamma(gamma, N, d)
+            assert np.all(g.degrees == (2 * k + 1) ** d - 1)
+            assert np.all(g.degrees == dgg_degree(gamma, d))
+            below = dgg_for_gamma(np.nextafter(float(gamma), 0.0), N, d)
+            assert np.all(below.degrees == (2 * k - 1) ** d - 1)
 
     def test_dgg_radius_selects_k_steps(self):
         for k, N in ((2, 8), (8, 1024), (1, 4)):

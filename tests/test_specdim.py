@@ -25,6 +25,7 @@ from rgg_spectra import (
     theoretical_cdf,
     theoretical_ds,
 )
+from rgg_spectra.specdim import _MC_BLOCK, MC_BATCH
 
 
 def power_law_spectrum(n, d):
@@ -188,7 +189,48 @@ class TestHeatEstimator:
             estimate_ds_from_heat_trace(ht)
 
 
+def reference_walk(g, t_max, walkers, seed):
+    """One rng.integers draw and one 2-d table lookup per step."""
+    degree = int(g.degrees[0])
+    neighbor_table = np.stack(g.adjacency)
+    counts = np.zeros(t_max + 1, dtype=np.int64)
+    done = 0
+    batch_index = 0
+    while done < walkers:
+        size = min(MC_BATCH, walkers - done)
+        rng = np.random.default_rng([seed, batch_index])
+        start = rng.integers(0, g.n, size=size)
+        pos = start.copy()
+        counts[0] += size
+        for t in range(1, t_max + 1):
+            choice = rng.integers(0, degree, size=size)
+            pos = neighbor_table[pos, choice]
+            counts[t] += int(np.sum(pos == start))
+        done += size
+        batch_index += 1
+    return counts / walkers
+
+
+# (n, d, k, degree); 24 and 26 are not powers of 2
+WALK_GRAPHS = [
+    (16, 1, 1, 2), (16, 1, 2, 4), (64, 2, 1, 8), (49, 2, 2, 24),
+    (125, 3, 1, 26),
+]
+
+
 class TestRandomWalks:
+    @pytest.mark.parametrize("n,d,k,degree", WALK_GRAPHS)
+    def test_bitwise_equal_to_per_step_reference(self, n, d, k, degree):
+        g = build_dgg(n, d, dgg_radius(k, round(n ** (1.0 / d))))
+        assert np.all(g.degrees == degree)
+        B = _MC_BLOCK
+        for walkers in (1, 7, MC_BATCH - 1, MC_BATCH, 2 * MC_BATCH + 3):
+            for t_max in (0, 1, B - 1, B, B + 1, 3 * B + 5):
+                for seed in (0, 11):
+                    got = mc_return_probability(g, t_max, walkers, seed)
+                    expect = reference_walk(g, t_max, walkers, seed)
+                    assert np.array_equal(got, expect), (walkers, t_max, seed)
+
     def test_triangle_return_probability(self):
         # complete graph on 3 nodes: transition eigenvalues 1, -1/2, -1/2
         g = build_dgg(3, 1, dgg_radius(1, 3))

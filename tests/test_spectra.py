@@ -169,6 +169,12 @@ class TestLemma2Threshold:
             assert lemma2_threshold(gamma, 4 * gamma, 0.0) == pytest.approx(
                 8.0 / gamma, rel=1e-12)
 
+    def test_degree_zero_threshold_needs_regularizer(self):
+        assert lemma2_threshold(0.5, 0, 0.1) == pytest.approx(
+            8 * 0.5 / 0.6 ** 2, rel=1e-12)
+        with pytest.raises(SingularityError):
+            lemma2_threshold(0.5, 0, 0.0)
+
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError):
             lemma2_threshold(0.0, 4.0, 0.1)
@@ -220,6 +226,14 @@ class TestConvergenceStudy:
         assert dgg_degree(0.5, 1) == 0
         with pytest.raises(SingularityError):
             convergence_study(1, 0.5, 0.0, MetricSpec(INF), [64], [0])
+
+    def test_regularized_degree_zero_grid_matches_dense_route(self):
+        assert dgg_degree(0.5, 1) == 0
+        rows = convergence_study(1, 0.5, 0.1, MetricSpec(), [64], [0])
+        expect = dense_route_levy(1, 0.5, 0.1, MetricSpec(), [64], [0])
+        assert [r.levy for r in rows] == pytest.approx(expect, abs=1e-9, rel=0)
+        assert rows[0].gamma_prime == 0
+        assert rows[0].threshold == pytest.approx(8 * 0.5 / 0.6 ** 2, rel=1e-12)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -26,8 +26,8 @@ _EXPORTS = {
                 "full_spectrum", "spectrum_of_graph", "esd_cdf",
                 "levy_distance", "trace_bound", "lemma2_threshold",
                 "convergence_study", "DENSE_CAP"],
-    "analytic": ["dgg_eigenvalue", "analytic_spectrum", "iter_modes",
-                 "mode_table", "limit_eigenvalue", "limit_eigenvalue_sweep",
+    "analytic": ["dgg_eigenvalue", "analytic_spectrum", "mode_table",
+                 "limit_eigenvalue", "limit_eigenvalue_sweep",
                  "taylor_lambda", "fiedler_eigenvalue", "regularizer_gap"],
     "specdim": ["SpecDimEstimate", "HeatTrace", "theoretical_cdf",
                 "theoretical_ds", "estimate_ds_from_spectrum", "heat_trace",

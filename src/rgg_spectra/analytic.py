@@ -16,24 +16,19 @@ nonzero mode (the Fiedler eigenvalue) are exposed separately.
 
 from __future__ import annotations
 
-import itertools
-import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularityError
+from .torus import _int_root
 
 
 def _odd_root(gamma_prime: float, d: int) -> int:
     """(gamma'+1)^(1/d) when it is an odd integer, else a ValueError."""
     target = gamma_prime + 1
-    root = round(target ** (1.0 / d))
-    for cand in (root, root - 1, root + 1):
-        if cand >= 1 and cand ** d == target:
-            root = cand
-            break
-    else:
+    root = _int_root(target, d)
+    if root < 1 or root ** d != target:
         raise ValueError(
             f"(gamma'+1)^(1/d) must be an integer, got gamma'={gamma_prime}, d={d}")
     if root % 2 == 0:
@@ -45,8 +40,8 @@ def _odd_root(gamma_prime: float, d: int) -> int:
 
 def _check_regularizer(gamma_prime: float, alpha: float) -> None:
     """The dense assembly's checks on alpha, with its messages."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     if gamma_prime + alpha == 0:
         raise SingularityError("alpha = 0 requires minimum degree >= 1")
 
@@ -60,14 +55,21 @@ def _check_mode_geometry(gamma_prime: float, alpha: float, d: int, N: int) -> in
     return a
 
 
-def _dirichlet(m: np.ndarray, a: int, N: int) -> np.ndarray:
-    """S(m) = sin(a pi m / N) / sin(pi m / N) with S(0) = a."""
-    m = np.asarray(m, dtype=float)
-    out = np.full(m.shape, float(a))
-    nz = m != 0
-    x = np.pi * m[nz] / N
-    out[nz] = np.sin(a * x) / np.sin(x)
+def _dirichlet(x: np.ndarray, a: int) -> np.ndarray:
+    """S = sin(a x) / sin(x), with the limit a filled in at x = 0 and x = pi."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, float(a))
+    inner = (x != 0.0) & (x != np.pi)
+    out[inner] = np.sin(a * x[inner]) / np.sin(x[inner])
     return out
+
+
+def _eigenvalue(prod, zero, gamma_prime: float, alpha: float) -> np.ndarray:
+    """1 - prod/(gamma'+alpha) + (1 - alpha*delta)/(gamma'+alpha), where
+    prod is the product of S over the axes and delta = 1 where `zero`."""
+    g = gamma_prime + alpha
+    lam = 1.0 - prod / g + 1.0 / g
+    return np.where(zero, lam - alpha / g, lam)
 
 
 def dgg_eigenvalue(mode: Sequence[int], gamma_prime: float, alpha: float,
@@ -79,27 +81,26 @@ def dgg_eigenvalue(mode: Sequence[int], gamma_prime: float, alpha: float,
         raise ValueError(f"mode must have {d} components")
     if np.any(m < 0) or np.any(m >= N):
         raise ValueError(f"mode components must lie in [0, {N})")
-    prod = float(np.prod(_dirichlet(m, a, N)))
-    delta = 1.0 if np.all(m == 0) else 0.0
-    return 1.0 - prod / (gamma_prime + alpha) + (1.0 - alpha * delta) / (gamma_prime + alpha)
+    prod = np.prod(_dirichlet(np.pi * m / N, a))
+    return float(_eigenvalue(prod, np.all(m == 0), gamma_prime, alpha))
 
 
-def iter_modes(N: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Lazily enumerate the N^d mode lattice in row-major order."""
-    return itertools.product(range(N), repeat=d)
+def _grid_eigenvalues(N: int, gamma_prime: float, alpha: float,
+                      d: int) -> np.ndarray:
+    """All N^d closed-form eigenvalues in row-major mode order."""
+    a = _check_mode_geometry(gamma_prime, alpha, d, N)
+    axis = _dirichlet(np.pi * np.arange(N) / N, a)
+    prod = axis
+    for _ in range(d - 1):
+        prod = np.multiply.outer(prod, axis)
+    zero = np.zeros(prod.size, dtype=bool)
+    zero[0] = True
+    return _eigenvalue(prod.ravel(), zero, gamma_prime, alpha)
 
 
 def analytic_spectrum(N: int, gamma_prime: float, alpha: float, d: int) -> np.ndarray:
     """All N^d closed-form eigenvalues, ascending."""
-    a = _check_mode_geometry(gamma_prime, alpha, d, N)
-    axis = _dirichlet(np.arange(N), a, N)
-    prod = axis
-    for _ in range(d - 1):
-        prod = np.multiply.outer(prod, axis)
-    lam = 1.0 - prod / (gamma_prime + alpha) + 1.0 / (gamma_prime + alpha)
-    lam = lam.ravel()
-    lam[0] -= alpha / (gamma_prime + alpha)  # delta term at the zero mode
-    return np.sort(lam)
+    return np.sort(_grid_eigenvalues(N, gamma_prime, alpha, d))
 
 
 def mode_table(N: int, gamma_prime: float, alpha: float,
@@ -111,67 +112,47 @@ def mode_table(N: int, gamma_prime: float, alpha: float,
     one dimension, (m/N)^d on the diagonal), and lam[i] is the closed-form
     eigenvalue of modes[i], unsorted.
     """
-    a = _check_mode_geometry(gamma_prime, alpha, d, N)
-    axis = _dirichlet(np.arange(N), a, N)
-    prod = axis
-    for _ in range(d - 1):
-        prod = np.multiply.outer(prod, axis)
-    lam = 1.0 - prod.ravel() / (gamma_prime + alpha) + 1.0 / (gamma_prime + alpha)
-    lam[0] -= alpha / (gamma_prime + alpha)
+    lam = _grid_eigenvalues(N, gamma_prime, alpha, d)
     modes = np.indices((N,) * d).reshape(d, -1).T
     w = modes.prod(axis=1) / float(N) ** d
     return modes, w, lam
 
 
-def _continuum_factor(u: np.ndarray, a: int) -> np.ndarray:
-    """sin(pi u a) / sin(pi u) with the u -> 0 and u -> 1 limits filled in."""
-    u = np.asarray(u, dtype=float)
-    out = np.full(u.shape, float(a))
-    inner = (u != 0.0) & (u != 1.0)
-    x = np.pi * u[inner]
-    out[inner] = np.sin(a * x) / np.sin(x)
-    return out
+def _continuum(comps: np.ndarray, gamma_prime: float, alpha: float,
+               d: int) -> np.ndarray:
+    """Continuum closed form at mode coordinates comps, shape (..., d), in [0, 1]."""
+    _check_regularizer(gamma_prime, alpha)
+    a = _odd_root(gamma_prime, d)
+    if np.any(comps < 0.0) or np.any(comps > 1.0):
+        raise ValueError("w components must lie in [0, 1]")
+    prod = np.prod(_dirichlet(np.pi * comps ** (1.0 / d), a), axis=-1)
+    return _eigenvalue(prod, np.all(comps == 0.0, axis=-1), gamma_prime, alpha)
 
 
-def limit_eigenvalue(w, gamma_prime: float, alpha: float, d: int):
+def limit_eigenvalue(w, gamma_prime: float, alpha: float, d: int) -> float:
     """Continuum closed form at mode coordinate w.
 
     `w` may be a scalar (the symmetric sweep, all components equal) or a
     length-d vector; components live in [0, 1] and enter through w^(1/d),
     the continuum analogue of m/N.
     """
-    a = _odd_root(gamma_prime, d)
     w_arr = np.asarray(w, dtype=float)
-    scalar_sweep = w_arr.ndim == 0
-    if scalar_sweep:
-        comps = np.full(d, float(w_arr))
-    else:
-        if w_arr.shape != (d,):
-            raise ValueError(f"w must be scalar or have {d} components")
-        comps = w_arr
-    if np.any(comps < 0.0) or np.any(comps > 1.0):
-        raise ValueError("w components must lie in [0, 1]")
-    u = comps ** (1.0 / d)
-    prod = float(np.prod(_continuum_factor(u, a)))
-    delta = 1.0 if np.all(comps == 0.0) else 0.0
-    return 1.0 - prod / (gamma_prime + alpha) + (1.0 - alpha * delta) / (gamma_prime + alpha)
+    if w_arr.ndim != 0 and w_arr.shape != (d,):
+        raise ValueError(f"w must be scalar or have {d} components")
+    return float(_continuum(np.broadcast_to(w_arr, (d,)), gamma_prime, alpha, d))
 
 
 def limit_eigenvalue_sweep(w_values: np.ndarray, gamma_prime: float,
                            alpha: float, d: int) -> np.ndarray:
-    """Vectorized symmetric sweep of limit_eigenvalue over scalar w values."""
-    a = _odd_root(gamma_prime, d)
+    """limit_eigenvalue at each scalar w of an array, vectorized."""
     w_values = np.asarray(w_values, dtype=float)
-    if np.any(w_values < 0.0) or np.any(w_values > 1.0):
-        raise ValueError("w must lie in [0, 1]")
-    u = w_values ** (1.0 / d)
-    factor = _continuum_factor(u, a) ** d
-    delta = (w_values == 0.0).astype(float)
-    return 1.0 - factor / (gamma_prime + alpha) + (1.0 - alpha * delta) / (gamma_prime + alpha)
+    return _continuum(w_values[..., None].repeat(d, axis=-1), gamma_prime,
+                      alpha, d)
 
 
 def taylor_lambda(w, gamma_prime: float, alpha: float, d: int):
     """Second-order small-w expansion, (pi^2/(6(gamma'+alpha))) w^(2/d) (gamma'+1)^((d+2)/d)."""
+    _check_regularizer(gamma_prime, alpha)
     w = np.asarray(w, dtype=float)
     val = (np.pi ** 2 / (6.0 * (gamma_prime + alpha))) \
         * w ** (2.0 / d) * (gamma_prime + 1.0) ** ((d + 2.0) / d)
@@ -180,13 +161,11 @@ def taylor_lambda(w, gamma_prime: float, alpha: float, d: int):
 
 def fiedler_eigenvalue(N: int, gamma_prime: float, alpha: float, d: int) -> float:
     """The second-smallest eigenvalue, i.e. the mode (1, 0, ..., 0)."""
-    a = _check_mode_geometry(gamma_prime, alpha, d, N)
-    ratio = math.sin(math.pi * a / N) / math.sin(math.pi / N)
-    return 1.0 / (gamma_prime + alpha) + 1.0 \
-        - (1.0 + gamma_prime) ** ((d - 1.0) / d) * ratio / (gamma_prime + alpha)
+    return dgg_eigenvalue((1,) + (0,) * (d - 1), gamma_prime, alpha, d, N)
 
 
 def regularizer_gap(gamma_prime: float, alpha: float) -> float:
     """Spectral floor alpha/(gamma'+alpha) the regularizer puts under all
     nonzero modes of the grid spectrum."""
+    _check_regularizer(gamma_prime, alpha)
     return alpha / (gamma_prime + alpha)

@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import json
 import math
-import numbers
 import os
 import statistics
 import sys
@@ -42,29 +41,7 @@ _BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 
 
 # ---------------------------------------------------------------------------
-# small formatting and parsing helpers
-
-def _g(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, numbers.Integral):
-        return str(int(v))
-    return _g(v)
-
-
-def _write_csv(path: Path, header: str, rows) -> Path:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-    return path
-
+# small parsing helpers
 
 def _parse_p(text: str) -> float:
     t = text.strip().lower()
@@ -271,6 +248,12 @@ def _resolve_gamma_prime(cfg: dict, d: int) -> int:
     return dgg_degree(gamma, d)
 
 
+def _grid_radius(gamma_prime: int, d: int, N: int) -> float:
+    """Radius of the Chebyshev grid graph of degree gamma' = (2k+1)^d - 1."""
+    from . import analytic, graphs
+    return graphs.dgg_radius((analytic._odd_root(gamma_prime, d) - 1) // 2, N)
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -369,6 +352,62 @@ def _write_svg(path: Path, xs, ys, title: str, xlabel: str, ylabel: str,
 
 
 # ---------------------------------------------------------------------------
+# output files written by more than one subcommand; each returns its files
+
+def _write_eigenvalues(cfg: dict, outdir: Path, ev, title: str) -> list[Path]:
+    from .torus import _write_csv
+    files = [_write_csv(outdir / "eigenvalues.csv", "index,lambda",
+                        "%d,%.17g\n", enumerate(ev))]
+    if cfg["svg"]:
+        files.append(_write_svg(outdir / "spectrum.svg", range(ev.size), ev,
+                                title, "rank", "lambda"))
+    return files
+
+
+def _shifted_grid_spectrum(cfg: dict):
+    """gamma' and the closed-form grid spectrum minus the regularizer gap."""
+    from . import analytic, specdim, spectra
+    d, alpha = cfg["d"], cfg["alpha"]
+    N = _require(cfg, "N")
+    gp = _resolve_gamma_prime(cfg, d)
+    spec = spectra.SpectralDistribution.from_values(
+        analytic.analytic_spectrum(N, gp, alpha, d))
+    return gp, specdim.shift_spectrum(spec, analytic.regularizer_gap(gp, alpha))
+
+
+def _write_heat_trace(cfg: dict, outdir: Path, ht) -> list[Path]:
+    from .torus import _write_csv
+    signal = ht.values - ht.stationary_offset
+    files = [_write_csv(outdir / "heat_trace.csv", "t,p0,p0_minus_offset",
+                        "%.17g,%.17g,%.17g\n", zip(ht.times, ht.values, signal))]
+    if cfg["svg"]:
+        files.append(_write_svg(outdir / "heat_trace.svg", ht.times, signal,
+                                "heat-trace decay", "t", "P0(t) - offset",
+                                logx=True, logy=True))
+    return files
+
+
+def _run_mc(cfg: dict, outdir: Path, gp: int):
+    """Unregularized walk on the matching grid; returns (files, freq, n)."""
+    import numpy as np
+
+    from . import graphs, specdim
+    from .torus import _write_csv
+    N, d = _require(cfg, "N"), cfg["d"]
+    g = graphs.build_dgg(N ** d, d, _grid_radius(gp, d, N))
+    freq = specdim.mc_return_probability(g, cfg["tmax"], cfg["walkers"],
+                                         cfg["seed"])
+    se = specdim.mc_stderr(freq, cfg["walkers"])
+    files = [_write_csv(outdir / "mc_returns.csv", "t,return_freq,stderr",
+                        "%d,%.17g,%.17g\n", zip(range(freq.size), freq, se))]
+    if cfg["svg"]:
+        files.append(_write_svg(
+            outdir / "mc_returns.svg", np.arange(freq.size), freq - 1.0 / g.n,
+            "return frequency minus 1/n", "t", "signal", logx=True, logy=True))
+    return files, freq, g.n
+
+
+# ---------------------------------------------------------------------------
 # subcommand handlers; each returns the list of files it wrote
 
 def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
@@ -396,26 +435,21 @@ def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
             radius = cfg["radius"]
         else:
             gp = _resolve_gamma_prime(cfg, d)
-            radius = graphs.dgg_radius((analytic._odd_root(gp, d) - 1) // 2, N)
+            radius = _grid_radius(gp, d, N)
         g = graphs.build_dgg(N ** d, d, radius, metric)
         if gp is not None and metric.p == torus.INF:
             analytic_ref = analytic.analytic_spectrum(N, gp, alpha, d)
     graphs.write_graph_csv(g, outdir / "graph.csv")
     files.append(outdir / "graph.csv")
 
-    sd = spectra.spectrum_of_graph(g, alpha)
-    ev = sd.eigenvalues
-    files.append(_write_csv(outdir / "eigenvalues.csv", "index,lambda",
-                            ((i, ev[i]) for i in range(sd.n))))
+    ev = spectra.spectrum_of_graph(g, alpha).eigenvalues
+    files += _write_eigenvalues(cfg, outdir, ev,
+                                f"{g.kind} spectrum, n = {ev.size}")
     if analytic_ref is not None:
-        rows = ((i, ev[i], analytic_ref[i], abs(ev[i] - analytic_ref[i]))
-                for i in range(sd.n))
-        files.append(_write_csv(outdir / "comparison.csv",
-                                "index,numeric,analytic,abs_diff", rows))
-    if cfg["svg"]:
-        files.append(_write_svg(outdir / "spectrum.svg", range(sd.n), ev,
-                                f"{g.kind} spectrum, n = {sd.n}", "rank",
-                                "lambda"))
+        files.append(torus._write_csv(
+            outdir / "comparison.csv", "index,numeric,analytic,abs_diff",
+            "%d,%.17g,%.17g,%.17g\n",
+            zip(range(ev.size), ev, analytic_ref, abs(ev - analytic_ref))))
     print(f"{g.kind}: n={g.n} mean_degree={g.mean_degree():.6g} "
           f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}]")
     return files
@@ -425,23 +459,18 @@ def _cmd_analytic_spectrum(cfg: dict, outdir: Path) -> list[Path]:
     import numpy as np
 
     from . import analytic
+    from .torus import _write_csv
 
-    files: list[Path] = []
     d = cfg["d"]
     N = _require(cfg, "N")
-    alpha = cfg["alpha"]
     gp = _resolve_gamma_prime(cfg, d)
-    modes, w, lam = analytic.mode_table(N, gp, alpha, d)
-    header = ",".join(f"m{s + 1}" for s in range(d)) + ",w,lambda"
-    rows = ((*modes[i], w[i], lam[i]) for i in range(lam.size))
-    files.append(_write_csv(outdir / "modes.csv", header, rows))
+    modes, w, lam = analytic.mode_table(N, gp, cfg["alpha"], d)
+    files = [_write_csv(outdir / "modes.csv",
+                        ",".join(f"m{s + 1}" for s in range(d)) + ",w,lambda",
+                        "%d," * d + "%.17g,%.17g\n", zip(*modes.T, w, lam))]
     ev = np.sort(lam)
-    files.append(_write_csv(outdir / "eigenvalues.csv", "index,lambda",
-                            ((i, ev[i]) for i in range(ev.size))))
-    if cfg["svg"]:
-        files.append(_write_svg(outdir / "spectrum.svg", range(ev.size), ev,
-                                f"closed-form spectrum, N = {N}, d = {d}",
-                                "rank", "lambda"))
+    files += _write_eigenvalues(cfg, outdir, ev,
+                                f"closed-form spectrum, N = {N}, d = {d}")
     print(f"dgg closed form: n={ev.size} gamma_prime={gp} "
           f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}]")
     return files
@@ -450,7 +479,6 @@ def _cmd_analytic_spectrum(cfg: dict, outdir: Path) -> list[Path]:
 def _cmd_levy(cfg: dict, outdir: Path) -> list[Path]:
     from . import spectra, torus
 
-    files: list[Path] = []
     d = cfg["d"]
     metric = torus.MetricSpec(p=cfg["p"])
     n_list = cfg["n_list"]
@@ -459,11 +487,12 @@ def _cmd_levy(cfg: dict, outdir: Path) -> list[Path]:
         raise ValueError("seeds must be >= 1")
     rows = spectra.convergence_study(d, cfg["gamma"], cfg["alpha"], metric,
                                      n_list, seeds)
-    files.append(_write_csv(
+    files = [torus._write_csv(
         outdir / "convergence.csv",
         "n,seed,gamma,gamma_prime,alpha,levy,levy_cubed,threshold,exceeds",
+        "%d,%d,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%d\n",
         ((r.n, r.seed, r.gamma, r.gamma_prime, r.alpha, r.levy, r.levy_cubed,
-          r.threshold, r.exceeds) for r in rows)))
+          r.threshold, r.exceeds) for r in rows))]
     medians = []
     for n in n_list:
         levies = [r.levy for r in rows if r.n == n]
@@ -479,39 +508,16 @@ def _cmd_levy(cfg: dict, outdir: Path) -> list[Path]:
     return files
 
 
-def _dgg_for_gamma_prime(N: int, d: int, gamma_prime: int):
-    from . import analytic, graphs
-    k = (analytic._odd_root(gamma_prime, d) - 1) // 2
-    return graphs.build_dgg(N ** d, d, graphs.dgg_radius(k, N))
-
-
-def _run_mc(cfg: dict, outdir: Path, gp: int) -> tuple[Path, "object", int]:
-    """Unregularized walk on the matching grid; returns (csv, freq, n)."""
-    from . import specdim
-    g = _dgg_for_gamma_prime(_require(cfg, "N"), cfg["d"], gp)
-    freq = specdim.mc_return_probability(g, cfg["tmax"], cfg["walkers"],
-                                         cfg["seed"])
-    se = specdim.mc_stderr(freq, cfg["walkers"])
-    path = _write_csv(outdir / "mc_returns.csv", "t,return_freq,stderr",
-                      ((t, freq[t], se[t]) for t in range(freq.size)))
-    return path, freq, g.n
-
-
 def _cmd_specdim(cfg: dict, outdir: Path) -> list[Path]:
     import numpy as np
 
-    from . import analytic, specdim, spectra
+    from . import analytic, specdim
+    from .torus import _write_csv
 
     files: list[Path] = []
-    d = cfg["d"]
-    N = _require(cfg, "N")
-    alpha = cfg["alpha"]
-    gp = _resolve_gamma_prime(cfg, d)
+    d, alpha = cfg["d"], cfg["alpha"]
+    gp, shifted = _shifted_grid_spectrum(cfg)
     methods = cfg["methods"]
-
-    spec = spectra.SpectralDistribution.from_values(
-        analytic.analytic_spectrum(N, gp, alpha, d))
-    shifted = specdim.shift_spectrum(spec, analytic.regularizer_gap(gp, alpha))
 
     estimates = []
     if "cdf" in methods:
@@ -519,29 +525,16 @@ def _cmd_specdim(cfg: dict, outdir: Path) -> list[Path]:
     if "heat" in methods:
         ht = specdim.heat_trace(shifted, specdim.default_heat_grid(shifted))
         estimates.append(specdim.estimate_ds_from_heat_trace(ht))
-        files.append(_write_csv(
-            outdir / "heat_trace.csv", "t,p0,p0_minus_offset",
-            ((t, v, v - ht.stationary_offset)
-             for t, v in zip(ht.times, ht.values))))
-        if cfg["svg"]:
-            files.append(_write_svg(
-                outdir / "heat_trace.svg", ht.times,
-                ht.values - ht.stationary_offset, "heat-trace decay", "t",
-                "P0(t) - offset", logx=True, logy=True))
+        files += _write_heat_trace(cfg, outdir, ht)
     if "mc" in methods:
-        path, freq, n_nodes = _run_mc(cfg, outdir, gp)
-        files.append(path)
+        mc_files, freq, n_nodes = _run_mc(cfg, outdir, gp)
+        files += mc_files
         estimates.append(specdim.estimate_ds_from_mc(freq, n_nodes))
-        if cfg["svg"]:
-            t = np.arange(freq.size)
-            files.append(_write_svg(
-                outdir / "mc_returns.svg", t, freq - 1.0 / n_nodes,
-                "return frequency minus 1/n", "t", "signal",
-                logx=True, logy=True))
 
     files.append(_write_csv(
         outdir / "estimates.csv",
         "method,d_s,slope,window_lo,window_hi,r_squared,n_points",
+        "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
         ((e.method, e.d_s, e.slope, e.window[0], e.window[1], e.r_squared,
           e.n_points) for e in estimates)))
 
@@ -553,7 +546,7 @@ def _cmd_specdim(cfg: dict, outdir: Path) -> list[Path]:
                        np.where(tay == 0.0, 0.0, np.inf))
     files.append(_write_csv(
         outdir / "taylor_curve.csv", "w,lambda_exact,lambda_taylor,rel_dev",
-        ((w[i], exact[i], tay[i], rel[i]) for i in range(w.size))))
+        "%.17g,%.17g,%.17g,%.17g\n", zip(w, exact, tay, rel)))
 
     for e in estimates:
         print(f"{e.method}: d_s={e.d_s:.6g} r2={e.r_squared:.6g} "
@@ -565,42 +558,17 @@ def _cmd_specdim(cfg: dict, outdir: Path) -> list[Path]:
 def _cmd_diffusion(cfg: dict, outdir: Path) -> list[Path]:
     import numpy as np
 
-    from . import analytic, specdim, spectra
+    from . import specdim
 
-    files: list[Path] = []
-    d = cfg["d"]
-    N = _require(cfg, "N")
-    alpha = cfg["alpha"]
-    gp = _resolve_gamma_prime(cfg, d)
-
-    spec = spectra.SpectralDistribution.from_values(
-        analytic.analytic_spectrum(N, gp, alpha, d))
-    shifted = specdim.shift_spectrum(spec, analytic.regularizer_gap(gp, alpha))
+    gp, shifted = _shifted_grid_spectrum(cfg)
     horizon = specdim.find_heat_horizon(shifted, t_lo=1.0)
     t_hi = max(horizon, 2.0)
     grid = np.geomspace(1.0, t_hi, specdim.HEAT_GRID_POINTS)
-    ht = specdim.heat_trace(shifted, grid)
-    files.append(_write_csv(
-        outdir / "heat_trace.csv", "t,p0,p0_minus_offset",
-        ((t, v, v - ht.stationary_offset)
-         for t, v in zip(ht.times, ht.values))))
-
-    path, freq, n_nodes = _run_mc(cfg, outdir, gp)
-    files.append(path)
-
-    if cfg["svg"]:
-        files.append(_write_svg(
-            outdir / "heat_trace.svg", ht.times,
-            ht.values - ht.stationary_offset, "heat-trace decay", "t",
-            "P0(t) - offset", logx=True, logy=True))
-        t = np.arange(freq.size)
-        files.append(_write_svg(
-            outdir / "mc_returns.svg", t, freq - 1.0 / n_nodes,
-            "return frequency minus 1/n", "t", "signal",
-            logx=True, logy=True))
+    files = _write_heat_trace(cfg, outdir, specdim.heat_trace(shifted, grid))
+    mc_files, _, n_nodes = _run_mc(cfg, outdir, gp)
     print(f"heat grid [1, {t_hi:.6g}] with {grid.size} points; "
           f"{cfg['walkers']} walkers to t={cfg['tmax']} on n={n_nodes}")
-    return files
+    return files + mc_files
 
 
 _HANDLERS = {

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import INF, MAX_RADIUS, MetricSpec, TorusPointSet, grid_side
-
-_CSV_CHUNK = 1 << 16  # edges formatted per write in write_graph_csv
+from .torus import (INF, MAX_RADIUS, MetricSpec, TorusPointSet, _int_root,
+                    _write_csv, grid_side)
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,23 @@ class GeometricGraph:
 
 
 def _adjacency_from_pairs(n: int, pairs_i: np.ndarray, pairs_j: np.ndarray):
-    """Build per-node sorted neighbor arrays from undirected pair lists."""
+    """Build per-node sorted neighbor arrays from undirected pairs i < j.
+
+    Raises ValueError naming the first pair that is not 0 <= i < j < n,
+    or the first repeated pair.
+    """
+    bad = np.flatnonzero((pairs_i >= pairs_j) | (pairs_i < 0) | (pairs_j >= n))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"edge {pairs_i[k]},{pairs_j[k]} is not 0 <= i < j < {n}")
     src = np.concatenate([pairs_i, pairs_j])
     dst = np.concatenate([pairs_j, pairs_i])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
+    repeat = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if np.any(repeat):
+        k = np.argmax(repeat)
+        raise ValueError(f"edge {src[k]},{dst[k]} appears twice")
     counts = np.bincount(src, minlength=n)
     splits = np.cumsum(counts)[:-1]
     adjacency = tuple(np.split(dst.astype(np.int64, copy=False), splits))
@@ -117,25 +128,9 @@ def build_dgg(n: int, d: int, radius: float,
                           adjacency=adjacency, degrees=degrees, seed=None)
 
 
-def _stencil_half_width(gamma: float, d: int) -> int:
-    """floor(gamma^(1/d)), exact also when gamma is a perfect d-th power.
-
-    The float root alone is not: 64 ** (1/3) is 3.9999999999999996.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    k = round(gamma ** (1.0 / d))
-    # int ** int against a float compares exactly
-    while k ** d > gamma:
-        k -= 1
-    while (k + 1) ** d <= gamma:
-        k += 1
-    return k
-
-
 def dgg_degree(gamma: float, d: int) -> int:
     """Grid degree matched to mean degree gamma: (2*floor(gamma^(1/d))+1)^d - 1."""
-    return (2 * _stencil_half_width(gamma, d) + 1) ** d - 1
+    return (2 * _int_root(gamma, d) + 1) ** d - 1
 
 
 def dgg_radius(k: int, N: int) -> float:
@@ -154,22 +149,15 @@ def dgg_radius(k: int, N: int) -> float:
 
 def dgg_for_gamma(gamma: float, N: int, d: int) -> GeometricGraph:
     """Chebyshev DGG whose degree is dgg_degree(gamma, d)."""
-    k = _stencil_half_width(gamma, d)
-    return build_dgg(N ** d, d, dgg_radius(k, N), MetricSpec(INF))
+    return build_dgg(N ** d, d, dgg_radius(_int_root(gamma, d), N), MetricSpec(INF))
 
 
 def write_graph_csv(g: GeometricGraph, path) -> None:
     """Header `kind,n,dim,p,radius,seed`, then one `i,j` line per edge (i<j)."""
     p_str = "inf" if g.p == INF else "%.17g" % g.p
     seed_str = "" if g.seed is None else str(g.seed)
-    with open(path, "w") as fh:
-        fh.write(f"{g.kind},{g.n},{g.dim},{p_str},{'%.17g' % g.radius},{seed_str}\n")
-        edges = g.edges()
-        # chunked, so the Python ints and strings of the whole edge list
-        # never exist at once
-        for start in range(0, len(edges), _CSV_CHUNK):
-            chunk = edges[start:start + _CSV_CHUNK].tolist()
-            fh.write("".join(map("%d,%d\n".__mod__, map(tuple, chunk))))
+    _write_csv(path, f"{g.kind},{g.n},{g.dim},{p_str},{'%.17g' % g.radius},{seed_str}",
+               "%d,%d\n", g.edges())
 
 
 def read_graph_csv(path) -> GeometricGraph:

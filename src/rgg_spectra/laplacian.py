@@ -67,8 +67,8 @@ def _assemble(g: GeometricGraph, alpha: float, denom_degrees: np.ndarray) -> np.
 
 def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     """Laplacian normalized by the observed degrees, regularized by alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     if alpha == 0 and np.any(g.degrees == 0):
         raise SingularityError(
             "alpha = 0 requires minimum degree >= 1 (isolated vertex present)")
@@ -78,8 +78,8 @@ def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
 
 def assemble_dgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     """Laplacian of a regular grid graph; all denominators are degree + alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     degree = int(g.degrees[0]) if g.n else 0
     if np.any(g.degrees != degree):
         raise ValueError("grid Laplacian requires a regular graph")

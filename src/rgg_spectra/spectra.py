@@ -16,10 +16,9 @@ import numpy as np
 
 from .analytic import _check_regularizer, analytic_spectrum
 from .errors import CapacityError
-from .graphs import GeometricGraph, dgg_degree
+from .graphs import GeometricGraph, build_rgg, dgg_degree
 from .laplacian import RegNormLaplacian, assemble_dgg_laplacian, assemble_rgg_laplacian
 from .torus import MetricSpec, grid_side, radius_for_gamma, sample_uniform_points
-from .graphs import build_rgg
 
 DENSE_CAP = 8192  # largest order we will hand to the dense eigensolver
 

@@ -7,6 +7,7 @@ the constant-mean-degree regime are obtained by inverting the lp ball volume.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,8 @@ INF = math.inf
 # Beyond this radius an lp ball wraps onto itself and the volume formula
 # (and every neighbor-search shortcut) stops being valid.
 MAX_RADIUS = 0.5
+
+_CSV_CHUNK = 1 << 16  # rows formatted per write in _write_csv
 
 
 def _check_p(p: float) -> float:
@@ -102,6 +105,8 @@ def radius_for_gamma(gamma: float, n: int, d: int,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if d < 1:
+        raise ValueError("d must be at least 1")
     if n <= 1:
         raise ValueError("n must be at least 2")
     if gamma >= n:
@@ -127,14 +132,30 @@ def sample_uniform_points(n: int, d: int, seed) -> TorusPointSet:
     return TorusPointSet(dim=d, points=pts, seed=scalar_seed)
 
 
+def _int_root(x: float, d: int) -> int:
+    """floor(x^(1/d)), exact also when x is a perfect d-th power.
+
+    The float root alone is not: 64 ** (1/3) is 3.9999999999999996.
+    """
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    if not 0 <= x < INF:
+        raise ValueError(f"need a finite, nonnegative value, got {x}")
+    k = round(x ** (1.0 / d))
+    # int ** int against a float compares exactly
+    while k ** d > x:
+        k -= 1
+    while (k + 1) ** d <= x:
+        k += 1
+    return k
+
+
 def grid_side(n: int, d: int) -> int:
     """N with N^d = n exactly, or a ValueError."""
-    N = round(n ** (1.0 / d))
-    # guard against float roots like 3.9999
-    for cand in (N, N - 1, N + 1):
-        if cand > 0 and cand ** d == n:
-            return cand
-    raise ValueError(f"n={n} is not a perfect {d}-th power")
+    N = _int_root(n, d)
+    if N < 1 or N ** d != n:
+        raise ValueError(f"n={n} is not a perfect {d}-th power")
+    return N
 
 
 def grid_points(n: int, d: int) -> TorusPointSet:
@@ -146,12 +167,31 @@ def grid_points(n: int, d: int) -> TorusPointSet:
     return TorusPointSet(dim=d, points=pts, seed=None)
 
 
+def _write_csv(path, header: str, template: str, rows):
+    """The header line, then `template % tuple(row)` per row; returns path.
+
+    `rows` is a 2-d array or an iterable of sequences, and `template` a
+    %-format with its newline, such as "%d,%.17g\n".  Rows are formatted
+    in chunks, and an array is converted to Python objects chunk by chunk,
+    so those of a whole large table never exist at once.
+    """
+    if isinstance(rows, np.ndarray):
+        chunks = (rows[i:i + _CSV_CHUNK].tolist()
+                  for i in range(0, len(rows), _CSV_CHUNK))
+    else:
+        it = iter(rows)
+        chunks = iter(lambda: list(itertools.islice(it, _CSV_CHUNK)), [])
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for chunk in chunks:
+            fh.write("".join(map(template.__mod__, map(tuple, chunk))))
+    return path
+
+
 def write_points_csv(ps: TorusPointSet, path) -> None:
     """Serialize: header `dim,n`, then one d-column row per point."""
-    with open(path, "w") as fh:
-        fh.write(f"{ps.dim},{ps.n}\n")
-        for row in ps.points:
-            fh.write(",".join("%.17g" % c for c in row) + "\n")
+    _write_csv(path, f"{ps.dim},{ps.n}", ",".join(["%.17g"] * ps.dim) + "\n",
+               ps.points)
 
 
 def read_points_csv(path) -> TorusPointSet:

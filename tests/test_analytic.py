@@ -1,5 +1,6 @@
 """Closed-form grid spectra: mode formula, continuum limit, expansions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from rgg_spectra import (
     dgg_eigenvalue,
     dgg_radius,
     fiedler_eigenvalue,
-    iter_modes,
     limit_eigenvalue,
     limit_eigenvalue_sweep,
     mode_table,
@@ -63,12 +63,17 @@ class TestModeFormula:
             dgg_eigenvalue((8,), 4, 0.0, 1, 8)  # mode out of range
 
 
-# every closed-form entry point that takes a grid side, called at (gp, alpha)
+# every closed-form entry point, called at (gp, alpha)
 CLOSED_FORMS = {
     "analytic_spectrum": lambda gp, alpha: analytic_spectrum(8, gp, alpha, 1),
     "mode_table": lambda gp, alpha: mode_table(8, gp, alpha, 1),
     "dgg_eigenvalue": lambda gp, alpha: dgg_eigenvalue((1,), gp, alpha, 1, 8),
     "fiedler_eigenvalue": lambda gp, alpha: fiedler_eigenvalue(8, gp, alpha, 1),
+    "limit_eigenvalue": lambda gp, alpha: limit_eigenvalue(0.1, gp, alpha, 1),
+    "limit_eigenvalue_sweep":
+        lambda gp, alpha: limit_eigenvalue_sweep([0.0, 0.1], gp, alpha, 1),
+    "taylor_lambda": lambda gp, alpha: taylor_lambda(0.1, gp, alpha, 1),
+    "regularizer_gap": lambda gp, alpha: regularizer_gap(gp, alpha),
 }
 
 
@@ -78,6 +83,13 @@ class TestAlphaValidation:
         # gp + alpha = 1.5 would not divide by zero; the sign alone is wrong
         with pytest.raises(ValueError, match="alpha must be nonnegative") as info:
             CLOSED_FORMS[name](2, -0.5)
+        assert not isinstance(info.value, SingularityError)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_nonfinite_alpha_rejected(self, name, alpha):
+        with pytest.raises(ValueError, match="finite") as info:
+            CLOSED_FORMS[name](4, alpha)
         assert not isinstance(info.value, SingularityError)
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
@@ -91,6 +103,33 @@ class TestAlphaValidation:
         closed = analytic_spectrum(8, 0, 0.5, 1)
         assert np.max(np.abs(closed - dense.eigenvalues)) <= 1e-12
         assert fiedler_eigenvalue(8, 0, 0.5, 1) == pytest.approx(closed[1], abs=1e-12)
+
+
+def parent_grid_formula(N, gamma_prime, alpha, d):
+    """The closed form as written out before the per-mode expression was
+    shared: unsorted eigenvalues in row-major mode order."""
+    a = round((gamma_prime + 1) ** (1.0 / d))
+    m = np.arange(N, dtype=float)
+    axis = np.full(N, float(a))
+    x = np.pi * m[1:] / N
+    axis[1:] = np.sin(a * x) / np.sin(x)
+    prod = axis
+    for _ in range(d - 1):
+        prod = np.multiply.outer(prod, axis)
+    lam = 1.0 - prod.ravel() / (gamma_prime + alpha) + 1.0 / (gamma_prime + alpha)
+    lam[0] -= alpha / (gamma_prime + alpha)
+    return lam
+
+
+class TestBitwiseParity:
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("N,gamma_prime,d", [
+        (32, 4, 1), (512, 16, 1), (64, 8, 2), (9, 26, 3), (10, 124, 3)])
+    def test_grid_spectrum_matches_parent_formula(self, N, gamma_prime, d, alpha):
+        expect = parent_grid_formula(N, gamma_prime, alpha, d)
+        assert mode_table(N, gamma_prime, alpha, d)[2].tobytes() == expect.tobytes()
+        assert analytic_spectrum(N, gamma_prime, alpha, d).tobytes() \
+            == np.sort(expect).tobytes()
 
 
 class TestAgainstEigensolver:
@@ -120,7 +159,7 @@ class TestSpectrumProperties:
     def test_mode_table_layout(self):
         modes, w, lam = mode_table(6, 8, 0.1, 2)
         assert modes.shape == (36, 2) and w.shape == (36,) and lam.shape == (36,)
-        assert [tuple(m) for m in modes] == list(iter_modes(6, 2))
+        assert [tuple(m) for m in modes] == list(itertools.product(range(6), repeat=2))
         assert np.array_equal(w, modes.prod(axis=1) / 36.0)
         for row, m in enumerate(modes):
             assert lam[row] == pytest.approx(
@@ -162,6 +201,14 @@ class TestContinuumLimit:
     def test_zero_coordinate_gives_zero(self):
         assert limit_eigenvalue(0.0, 8, 0.1, 2) == pytest.approx(0.0, abs=1e-15)
         assert limit_eigenvalue(np.zeros(2), 8, 0.1, 2) == pytest.approx(0.0, abs=1e-15)
+
+    def test_zero_coordinate_equals_grid_zero_mode(self):
+        # one per-mode expression: the continuum and the grid round the
+        # zero mode alike
+        for N, gp, alpha, d in ((32, 16, 0.1, 1), (64, 8, 0.1, 2)):
+            zero_mode = mode_table(N, gp, alpha, d)[2][0]
+            assert limit_eigenvalue_sweep([0.0], gp, alpha, d)[0] == zero_mode
+            assert limit_eigenvalue(0.0, gp, alpha, d) == zero_mode
 
     def test_vector_and_scalar_forms_agree(self):
         w = 0.04

@@ -123,6 +123,8 @@ class TestAnalyticSpectrumCommand:
     @pytest.mark.parametrize("gamma_prime,alpha,message", [
         ("0", "0", "minimum degree"),
         ("2", "-0.5", "alpha must be nonnegative"),
+        ("4", "nan", "finite"),
+        ("4", "inf", "finite"),
     ])
     def test_invalid_alpha_is_usage_error(self, tmp_path, capsys, gamma_prime,
                                           alpha, message):
@@ -219,6 +221,34 @@ class TestDiffusionCommand:
                 "mc_returns.svg", "manifest.json"} <= names
         svg = (out / "heat_trace.svg").read_text()
         assert svg.startswith("<svg") and svg.count("<polyline") == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["analytic-spectrum", "--d", "0", "--N", "8", "--gamma-prime", "4"],
+         "d must be at least 1"),
+        (["specdim", "--d", "0", "--N", "8", "--gamma", "8", "--methods",
+          "cdf"], "d must be at least 1"),
+        (["levy", "--d", "0", "--gamma", "8", "--n-list", "64", "--seeds",
+          "1"], "d must be at least 1"),
+        (["spectrum", "--kind", "rgg", "--d", "0", "--n", "64", "--gamma",
+          "4"], "d must be at least 1"),
+        (["analytic-spectrum", "--d", "1", "--N", "8", "--gamma", "inf"],
+         "finite"),
+        (["levy", "--gamma", "inf", "--n-list", "64", "--seeds", "1"],
+         "finite"),
+        (["spectrum", "--kind", "rgg", "--d", "1", "--n", "64", "--gamma",
+          "4", "--alpha", "nan"], "finite"),
+        (["spectrum", "--kind", "dgg", "--d", "1", "--N", "16",
+          "--gamma-prime", "4", "--alpha", "inf"], "finite"),
+        (["levy", "--alpha", "nan", "--n-list", "64", "--seeds", "1"],
+         "finite"),
+    ])
+    def test_bad_parameter_exits_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (out / "eigenvalues.csv").exists()
 
 
 class TestManifest:

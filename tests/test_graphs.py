@@ -1,6 +1,7 @@
 """Graph construction: RGG vs brute force, grid regularity, serialization."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -194,6 +195,15 @@ class TestDegreeHelpers:
         with pytest.raises(ValueError, match="nonnegative"):
             dgg_degree(-1.0, 2)
 
+    @pytest.mark.parametrize("gamma,d,message", [
+        (8.0, 0, "d must be at least 1"),
+        (math.inf, 1, "finite"),
+        (math.nan, 2, "finite"),
+    ])
+    def test_dgg_degree_rejects_bad_root(self, gamma, d, message):
+        with pytest.raises(ValueError, match=message):
+            dgg_degree(gamma, d)
+
     def test_dgg_for_gamma_exact_on_perfect_powers(self):
         # floor(gamma ** (1/d)) gives k - 1 at each of these cubes
         for gamma, d, k, N in ((64, 3, 4, 9), (64, 3, 4, 10), (125, 3, 5, 11)):
@@ -267,3 +277,16 @@ class TestGraphCsv:
             warnings.simplefilter("error")  # e.g. loadtxt's "no data" warning
             back = read_graph_csv(path)
         assert back.n == 2 and back.edges().shape == (0, 2)
+
+    @pytest.mark.parametrize("body,message", [
+        ("0,0\n", "edge 0,0 is not 0 <= i < j < 4"),
+        ("0,1\n1,0\n", "edge 1,0 is not 0 <= i < j < 4"),
+        ("0,1\n1,2\n0,1\n", "edge 0,1 appears twice"),
+        ("0,4\n", "edge 0,4 is not 0 <= i < j < 4"),
+        ("-1,2\n", "edge -1,2 is not 0 <= i < j < 4"),
+    ])
+    def test_malformed_edges_rejected(self, tmp_path, body, message):
+        path = tmp_path / "graph.csv"
+        path.write_text("rgg,4,1,inf,0.1,\n" + body)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_graph_csv(path)

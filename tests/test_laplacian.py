@@ -1,5 +1,7 @@
 """Regularized normalized Laplacian assembly and its exact identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from rgg_spectra import (
     build_dgg,
     build_rgg,
     dgg_for_gamma,
+    dgg_radius,
     sample_uniform_points,
 )
 
@@ -47,6 +50,13 @@ class TestAssembly:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             assemble_rgg_laplacian(two_points(True), alpha=-0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    @pytest.mark.parametrize("assemble", [assemble_rgg_laplacian,
+                                          assemble_dgg_laplacian])
+    def test_nonfinite_alpha_rejected(self, assemble, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            assemble(build_dgg(8, 1, dgg_radius(1, 8)), alpha)
 
     def test_grid_assembly_requires_regular_graph(self):
         g = build_rgg(sample_uniform_points(40, 2, 5), 0.12)

@@ -1,6 +1,7 @@
 """Torus geometry: wrapped lp distances, regime radii, lattices, CSV I/O."""
 
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rgg_spectra import (
     torus_distance,
     write_points_csv,
 )
+from rgg_spectra.torus import _write_csv
 
 ALL_P = (1.0, 2.0, INF)
 
@@ -123,6 +125,10 @@ class TestRadiusForGamma:
         with pytest.raises(ValueError):
             radius_for_gamma(1024, 1024, 1, MetricSpec(INF))
 
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            radius_for_gamma(4, 64, 0, MetricSpec(INF))
+
     def test_oversized_radius_is_a_regime_error(self):
         # l2 ball volume at r=0.5 is pi/4, so gamma=0.9n pushes r past 0.5
         with pytest.raises(RegimeError):
@@ -185,6 +191,11 @@ class TestGridPoints:
         with pytest.raises(ValueError):
             grid_side(10, 2)
 
+    @pytest.mark.parametrize("n,d", [(0, 2), (-4, 2), (8, 0)])
+    def test_grid_side_rejects_bad_input(self, n, d):
+        with pytest.raises(ValueError):
+            grid_side(n, d)
+
     def test_nearest_neighbor_spacing(self):
         ps = grid_points(16, 2)
         pts = ps.points
@@ -216,3 +227,36 @@ class TestPointsCsv:
         write_points_csv(ps, path)
         back = read_points_csv(path)
         assert np.array_equal(back.points, ps.points)
+
+
+def parent_cell(v):
+    """The per-cell formatting the command-line tables used before they
+    moved to row templates."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, numbers.Integral):
+        return str(int(v))
+    return "%.17g" % float(v)
+
+
+class TestCsvWriter:
+    def test_mixed_table_matches_per_cell_formatting(self, tmp_path):
+        rows = [("cdf_slope", True, np.int64(7), 0.1, -0.0, math.inf),
+                ("mc", False, np.int64(-3), np.float64(1 / 3), math.nan,
+                 -math.inf),
+                ("x", np.bool_(True), 0, 1e-300, 2.0 ** 60, np.float64(-0.0))]
+        path = _write_csv(tmp_path / "t.csv", "a,b,c,d,e,f",
+                          "%s,%d,%d,%.17g,%.17g,%.17g\n", iter(rows))
+        expect = "a,b,c,d,e,f\n" + "".join(
+            ",".join(parent_cell(v) for v in row) + "\n" for row in rows)
+        assert path.read_text() == expect
+
+    def test_array_rows_span_chunks(self, tmp_path):
+        # more rows than one formatted chunk, as an array and as tuples
+        arr = np.random.default_rng(1).random(((1 << 16) + 5, 2))
+        expect = "h\n" + "".join("%.17g,%.17g\n" % tuple(r) for r in arr)
+        for rows in (arr, map(tuple, arr)):
+            path = _write_csv(tmp_path / "a.csv", "h", "%.17g,%.17g\n", rows)
+            assert path.read_text() == expect

@@ -417,7 +417,7 @@ def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
     d = cfg["d"]
     alpha = cfg["alpha"]
     metric = torus.MetricSpec(p=cfg["p"])
-    analytic_ref = None
+    pts = analytic_ref = None
     if cfg["kind"] == "rgg":
         n = _require(cfg, "n")
         if cfg["radius"] is not None:
@@ -426,8 +426,6 @@ def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
             radius = torus.radius_for_gamma(_require(cfg, "gamma"), n, d, metric)
         pts = torus.sample_uniform_points(n, d, cfg["seed"])
         g = graphs.build_rgg(pts, radius, metric)
-        torus.write_points_csv(pts, outdir / "points.csv")
-        files.append(outdir / "points.csv")
     else:
         N = _require(cfg, "N")
         gp = None
@@ -439,10 +437,14 @@ def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
         g = graphs.build_dgg(N ** d, d, radius, metric)
         if gp is not None and metric.p == torus.INF:
             analytic_ref = analytic.analytic_spectrum(N, gp, alpha, d)
+
+    # the eigensolve runs first so that a failed run leaves no partial output
+    ev = spectra.spectrum_of_graph(g, alpha).eigenvalues
+    if pts is not None:
+        torus.write_points_csv(pts, outdir / "points.csv")
+        files.append(outdir / "points.csv")
     graphs.write_graph_csv(g, outdir / "graph.csv")
     files.append(outdir / "graph.csv")
-
-    ev = spectra.spectrum_of_graph(g, alpha).eigenvalues
     files += _write_eigenvalues(cfg, outdir, ev,
                                 f"{g.kind} spectrum, n = {ev.size}")
     if analytic_ref is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,36 +21,44 @@ from .torus import (INF, MAX_RADIUS, MetricSpec, TorusPointSet, _int_root,
 
 @dataclass(frozen=True)
 class GeometricGraph:
-    """Undirected simple graph with its construction parameters."""
+    """Undirected simple graph in CSR form with its construction parameters."""
 
     kind: str  # "rgg" or "dgg"
     n: int
     dim: int
     p: float
     radius: float
-    adjacency: tuple  # per-node sorted int arrays
-    degrees: np.ndarray
+    indptr: np.ndarray  # int64, length n + 1
+    indices: np.ndarray  # int64; row i is indices[indptr[i]:indptr[i+1]], ascending
     seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("rgg", "dgg"):
             raise ValueError(f"kind must be 'rgg' or 'dgg', got {self.kind!r}")
-        if len(self.adjacency) != self.n or len(self.degrees) != self.n:
-            raise ValueError("adjacency and degrees must have length n")
+        if len(self.indptr) != self.n + 1 or self.indptr[-1] != len(self.indices):
+            raise ValueError("indptr must have length n + 1 and end at len(indices)")
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def adjacency(self) -> list:
+        """Per-node neighbor arrays, as views into indices."""
+        return np.split(self.indices, self.indptr[1:-1])
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with i < j, sorted lexicographically."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        dst = np.concatenate([np.empty(0, dtype=np.int64), *self.adjacency])
-        keep = src < dst
-        return np.stack([src[keep], dst[keep]], axis=1)
+        keep = src < self.indices
+        return np.stack([src[keep], self.indices[keep]], axis=1)
 
     def mean_degree(self) -> float:
         return float(np.mean(self.degrees))
 
 
-def _adjacency_from_pairs(n: int, pairs_i: np.ndarray, pairs_j: np.ndarray):
-    """Build per-node sorted neighbor arrays from undirected pairs i < j.
+def _csr_from_pairs(n: int, pairs_i: np.ndarray, pairs_j: np.ndarray):
+    """Build (indptr, indices) from undirected int64 pairs i < j.
 
     Raises ValueError naming the first pair that is not 0 <= i < j < n,
     or the first repeated pair.
@@ -58,18 +67,18 @@ def _adjacency_from_pairs(n: int, pairs_i: np.ndarray, pairs_j: np.ndarray):
     if bad.size:
         k = bad[0]
         raise ValueError(f"edge {pairs_i[k]},{pairs_j[k]} is not 0 <= i < j < {n}")
-    src = np.concatenate([pairs_i, pairs_j])
-    dst = np.concatenate([pairs_j, pairs_i])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    repeat = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    # one int64 key src * n + dst per directed edge orders the edges by
+    # (src, dst); it fits in int64 for n <= 3,037,000,499
+    key = np.concatenate([pairs_i * n + pairs_j, pairs_j * n + pairs_i])
+    key.sort()
+    repeat = key[1:] == key[:-1]
     if np.any(repeat):
-        k = np.argmax(repeat)
-        raise ValueError(f"edge {src[k]},{dst[k]} appears twice")
-    counts = np.bincount(src, minlength=n)
-    splits = np.cumsum(counts)[:-1]
-    adjacency = tuple(np.split(dst.astype(np.int64, copy=False), splits))
-    return adjacency, counts.astype(np.int64)
+        src, dst = divmod(int(key[np.argmax(repeat)]), n)
+        raise ValueError(f"edge {src},{dst} appears twice")
+    src, indices = np.divmod(key, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, indices
 
 
 def build_rgg(points: TorusPointSet, radius: float,
@@ -85,9 +94,9 @@ def build_rgg(points: TorusPointSet, radius: float,
     from scipy.spatial import cKDTree
     pairs = cKDTree(points.points, boxsize=1.0).query_pairs(
         radius, p=metric.p, output_type="ndarray")
-    adjacency, degrees = _adjacency_from_pairs(points.n, pairs[:, 0], pairs[:, 1])
+    indptr, indices = _csr_from_pairs(points.n, pairs[:, 0], pairs[:, 1])
     return GeometricGraph(kind="rgg", n=points.n, dim=points.dim, p=metric.p,
-                          radius=radius, adjacency=adjacency, degrees=degrees,
+                          radius=radius, indptr=indptr, indices=indices,
                           seed=points.seed)
 
 
@@ -121,11 +130,10 @@ def build_dgg(n: int, d: int, radius: float,
     coords = np.indices((N,) * d).reshape(d, -1).T  # row-major lattice order
     strides = N ** np.arange(d - 1, -1, -1, dtype=np.int64)
     neighbor_ids = ((coords[:, None, :] + offsets[None, :, :]) % N) @ strides
-    neighbor_ids = np.sort(neighbor_ids, axis=1)
-    adjacency = tuple(neighbor_ids)
-    degrees = np.full(n, offsets.shape[0], dtype=np.int64)
+    indices = np.sort(neighbor_ids, axis=1).ravel()
+    indptr = np.arange(n + 1, dtype=np.int64) * offsets.shape[0]
     return GeometricGraph(kind="dgg", n=n, dim=d, p=metric.p, radius=radius,
-                          adjacency=adjacency, degrees=degrees, seed=None)
+                          indptr=indptr, indices=indices, seed=None)
 
 
 def dgg_degree(gamma: float, d: int) -> int:
@@ -172,6 +180,6 @@ def read_graph_csv(path) -> GeometricGraph:
             rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
         else:  # edgeless graph; loadtxt would warn about the empty body
             rows = np.empty((0, 2), dtype=np.int64)
-    adjacency, degrees = _adjacency_from_pairs(n, rows[:, 0], rows[:, 1])
+    indptr, indices = _csr_from_pairs(n, rows[:, 0], rows[:, 1])
     return GeometricGraph(kind=kind, n=n, dim=dim, p=p, radius=float(radius),
-                          adjacency=adjacency, degrees=degrees, seed=seed)
+                          indptr=indptr, indices=indices, seed=seed)

@@ -48,42 +48,34 @@ class RegNormLaplacian:
         object.__setattr__(self, "matrix", m)
 
 
-def _assemble(g: GeometricGraph, alpha: float, denom_degrees: np.ndarray) -> np.ndarray:
+def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     """eye(n) - (A + alpha/n) * outer(s, s), built in one n x n buffer."""
-    n = g.n
-    s = 1.0 / np.sqrt(denom_degrees + alpha)
-    # (A_ij + alpha/n) * s_i * s_j is bitwise symmetric: products commute
-    L = np.multiply.outer(s, s)
-    rows = np.repeat(np.arange(n), g.degrees)
-    cols = np.concatenate(g.adjacency)
-    edge = (1.0 + alpha / n) * L[rows, cols]
-    L *= alpha / n
-    L[rows, cols] = edge
-    # 0.0 - x, not -x: an entry of M equal to +0.0 stays +0.0, as in eye - M
-    np.subtract(0.0, L, out=L)
-    L.flat[::n + 1] += 1.0
-    return L
-
-
-def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
-    """Laplacian normalized by the observed degrees, regularized by alpha."""
     if not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     if alpha == 0 and np.any(g.degrees == 0):
         raise SingularityError(
             "alpha = 0 requires minimum degree >= 1 (isolated vertex present)")
-    L = _assemble(g, alpha, g.degrees.astype(float))
-    return RegNormLaplacian(n=g.n, alpha=alpha, matrix=L, source_kind=g.kind)
+    n = g.n
+    s = 1.0 / np.sqrt(g.degrees + alpha)
+    # (A_ij + alpha/n) * s_i * s_j is bitwise symmetric: products commute
+    L = np.multiply.outer(s, s)
+    rows = np.repeat(np.arange(n), g.degrees)
+    edge = (1.0 + alpha / n) * L[rows, g.indices]
+    L *= alpha / n
+    L[rows, g.indices] = edge
+    # 0.0 - x, not -x: an entry of M equal to +0.0 stays +0.0, as in eye - M
+    np.subtract(0.0, L, out=L)
+    L.flat[::n + 1] += 1.0
+    return RegNormLaplacian(n=n, alpha=alpha, matrix=L, source_kind=g.kind)
+
+
+def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
+    """Laplacian normalized by the observed degrees, regularized by alpha."""
+    return _assemble(g, alpha)
 
 
 def assemble_dgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     """Laplacian of a regular grid graph; all denominators are degree + alpha."""
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
-    degree = int(g.degrees[0]) if g.n else 0
-    if np.any(g.degrees != degree):
+    if g.n and np.any(g.degrees != g.degrees[0]):
         raise ValueError("grid Laplacian requires a regular graph")
-    if alpha == 0 and degree == 0:
-        raise SingularityError("alpha = 0 requires minimum degree >= 1")
-    L = _assemble(g, alpha, np.full(g.n, float(degree)))
-    return RegNormLaplacian(n=g.n, alpha=alpha, matrix=L, source_kind=g.kind)
+    return _assemble(g, alpha)

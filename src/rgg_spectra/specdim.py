@@ -232,7 +232,7 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
         raise ValueError("t_max must be >= 0 and walkers >= 1")
     # Walkers carry node * degree, so the neighbor table is flat and one
     # step is an add and a take: table[pos + choice] = neighbor * degree.
-    table = np.concatenate(g.adjacency).astype(np.intp) * degree
+    table = g.indices.astype(np.intp) * degree
     counts = np.zeros(t_max + 1, dtype=np.int64)
     done = 0
     batch_index = 0

@@ -46,8 +46,6 @@ class SpectralDistribution:
 class LevyResult:
     distance: float
     cube: float
-    bound: float | None = None
-    threshold: float | None = None
 
 
 def esd_cdf(sd: SpectralDistribution, x, side: str = "left") -> np.ndarray:

@@ -103,7 +103,7 @@ def radius_for_gamma(gamma: float, n: int, d: int,
     Raises RegimeError when the solution reaches 0.5, i.e. gamma is too
     large for this n in the constant-degree regime.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects NaN
         raise ValueError("gamma must be positive")
     if d < 1:
         raise ValueError("d must be at least 1")

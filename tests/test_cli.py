@@ -89,6 +89,7 @@ class TestSpectrumCommand:
                      "--radius", "0.0002", "--out", str(tmp_path / "x")])
         assert code == EXIT_CAPACITY
         assert "dense cap" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "graph.csv").exists()
 
 
 class TestAnalyticSpectrumCommand:
@@ -134,7 +135,7 @@ class TestAnalyticSpectrumCommand:
                      "--out", str(out)])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
-        assert not (out / "eigenvalues.csv").exists()
+        assert not out.exists() or not any(out.iterdir())
 
     def test_invalid_grid_degree_is_usage_error(self, tmp_path, capsys):
         code = main(["analytic-spectrum", "--d", "1", "--N", "16",
@@ -243,12 +244,16 @@ class TestUsageErrors:
           "--gamma-prime", "4", "--alpha", "inf"], "finite"),
         (["levy", "--alpha", "nan", "--n-list", "64", "--seeds", "1"],
          "finite"),
+        (["spectrum", "--kind", "rgg", "--d", "1", "--n", "64", "--gamma",
+          "0.01", "--alpha", "0"], "isolated vertex"),
+        (["spectrum", "--kind", "rgg", "--d", "1", "--n", "64", "--gamma",
+          "nan"], "gamma must be positive"),
     ])
     def test_bad_parameter_exits_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
-        assert not (out / "eigenvalues.csv").exists()
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestManifest:

@@ -1,4 +1,4 @@
-"""The package's lazy public namespace and the names the benchmark wraps."""
+"""The package's lazy public namespace and the benchmark's hooks into it."""
 
 import importlib
 import importlib.util
@@ -6,7 +6,16 @@ from pathlib import Path
 
 import rgg_spectra
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
+
+
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_exported_name_resolves():
@@ -16,10 +25,15 @@ def test_every_exported_name_resolves():
 
 def test_benchmark_wrapped_functions_resolve():
     # the traced benchmark run patches each (module, function) of WRAPPED
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load("perfbench_spans", SPANS)
     assert spans.WRAPPED
     for module, function, _, _ in spans.WRAPPED:
         mod = importlib.import_module(f"{spans.PACKAGE}.{module}")
         assert callable(getattr(mod, function, None)), f"{module}.{function}"
+
+
+def test_benchmark_graph_check_reads_the_graph_interface(tmp_path):
+    # the graph_io_d2 output check reads degrees and per-node adjacency
+    w = load("perfbench_workloads", WORKLOADS).GraphIoD2()
+    p = {**w.params(1), "n": 2048}
+    assert w.check(p, w.run(p, str(tmp_path)), 1) == []

@@ -9,6 +9,7 @@ import pytest
 
 from rgg_spectra import (
     INF,
+    GeometricGraph,
     MetricSpec,
     TorusPointSet,
     build_dgg,
@@ -22,6 +23,7 @@ from rgg_spectra import (
     sample_uniform_points,
     write_graph_csv,
 )
+from rgg_spectra.graphs import _csr_from_pairs
 
 
 def brute_force_edges(pts, radius, p):
@@ -41,14 +43,64 @@ def edge_set(g):
 
 
 def check_adjacency_consistent(g):
+    assert g.indptr[0] == 0 and np.all(np.diff(g.indptr) >= 0)
     for i in range(g.n):
         nbrs = g.adjacency[i]
+        assert np.array_equal(g.indices[g.indptr[i]:g.indptr[i + 1]], nbrs)
         assert g.degrees[i] == len(nbrs)
         assert i not in nbrs
         assert len(set(nbrs.tolist())) == len(nbrs)
         assert np.all(np.diff(nbrs) > 0)
         for j in nbrs:
             assert i in g.adjacency[j]
+
+
+def lexsort_adjacency(n, pairs_i, pairs_j):
+    """Reference builder: per-node neighbor arrays by lexsort and np.split."""
+    src = np.concatenate([pairs_i, pairs_j])
+    dst = np.concatenate([pairs_j, pairs_i])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    repeat = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if np.any(repeat):
+        k = np.argmax(repeat)
+        raise ValueError(f"edge {src[k]},{dst[k]} appears twice")
+    counts = np.bincount(src, minlength=n)
+    return np.split(dst, np.cumsum(counts)[:-1]), counts
+
+
+class TestCsrLayout:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_key_sort_matches_lexsort_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        m = int(rng.integers(0, 4 * n))
+        a, b = rng.integers(0, n, size=(2, m))
+        pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)[a != b]
+        pairs = rng.permutation(np.unique(pairs, axis=0))
+        indptr, indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
+        adjacency, counts = lexsort_adjacency(n, pairs[:, 0], pairs[:, 1])
+        assert indptr.dtype == indices.dtype == np.int64
+        assert np.array_equal(np.diff(indptr), counts)
+        assert np.array_equal(indices, np.concatenate(adjacency))
+        if len(pairs):
+            # a repeated pair is reported as the lexsort reference reports it
+            extra = pairs[rng.integers(len(pairs), size=3)]
+            twice = rng.permutation(np.concatenate([pairs, extra]))
+            with pytest.raises(ValueError) as ref:
+                lexsort_adjacency(n, twice[:, 0], twice[:, 1])
+            with pytest.raises(ValueError, match=re.escape(str(ref.value))):
+                _csr_from_pairs(n, twice[:, 0], twice[:, 1])
+
+    @pytest.mark.parametrize("indptr,indices", [
+        ([0, 1, 2], [1, 0]),  # length n, not n + 1
+        ([0, 1, 2, 3], [1, 0]),  # ends past len(indices)
+        ([0, 1, 1, 1], [1, 0]),  # ends before len(indices)
+    ])
+    def test_graph_rejects_mismatched_indptr(self, indptr, indices):
+        with pytest.raises(ValueError, match="indptr"):
+            GeometricGraph(kind="rgg", n=3, dim=1, p=INF, radius=0.1,
+                           indptr=np.array(indptr), indices=np.array(indices))
 
 
 class TestBuildRgg:

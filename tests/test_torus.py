@@ -121,6 +121,10 @@ class TestRadiusForGamma:
             r = radius_for_gamma(gamma, n, d, m)
             assert ball_volume(r, d, m) * n == pytest.approx(gamma, rel=1e-12)
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            radius_for_gamma(math.nan, 64, 1, MetricSpec(INF))
+
     def test_gamma_at_or_above_n_rejected(self):
         with pytest.raises(ValueError):
             radius_for_gamma(1024, 1024, 1, MetricSpec(INF))

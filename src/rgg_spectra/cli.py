@@ -5,6 +5,10 @@ files plus a manifest.json (resolved configuration, toolkit version, PRNG
 algorithm, wall time, sha256 per file) into the --out directory.  Floats
 are printed with 17 significant digits so runs round-trip exactly.
 
+Only a run that succeeds writes files, the manifest last: each handler
+computes everything and returns (file name, write) pairs, which `main`
+writes after it returns.  A failed run leaves --out absent or empty.
+
 Thread pinning must precede BLAS initialization, so everything numeric is
 imported lazily inside the subcommand handlers; this module only touches
 the standard library at import time.
@@ -24,6 +28,7 @@ import statistics
 import sys
 import time
 from collections import namedtuple
+from functools import partial
 from pathlib import Path
 
 from . import PRNG_ALGORITHM, __version__
@@ -66,6 +71,15 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(s) for s in items]
 
 
+_KINDS = ("rgg", "dgg")
+
+
+def _parse_kind(text: str) -> str:
+    if text not in _KINDS:
+        raise ValueError(f"unknown kind {text!r}; choose from {', '.join(_KINDS)}")
+    return text
+
+
 _METHOD_NAMES = ("cdf", "heat", "mc")
 
 
@@ -104,6 +118,8 @@ _GRID = {
     "alpha": Opt(float, 0.1, "regularizer weight"),
 }
 
+_METRIC_P = Opt(_parse_p, math.inf, "torus metric exponent; inf for Chebyshev")
+
 _WALK = {
     "seed": Opt(int, 0, "PRNG seed"),
     "walkers": Opt(int, 100000, "random walkers for the return-probability run"),
@@ -112,24 +128,21 @@ _WALK = {
 
 _OPTS: dict[str, dict[str, Opt]] = {
     "spectrum": {
-        "kind": Opt(str, "rgg", "graph family: rgg or dgg"),
-        "d": Opt(int, 1, "ambient dimension"),
+        "kind": Opt(_parse_kind, "rgg", "graph family: rgg or dgg"),
         "n": Opt(int, None, "number of random points (rgg)"),
+        **_GRID,
         "N": Opt(int, None, "grid side (dgg), n = N^d"),
-        "gamma": Opt(float, None, "target mean degree"),
-        "gamma_prime": Opt(int, None, "exact grid degree (2k+1)^d - 1"),
         "radius": Opt(float, None, "connection radius; overrides gamma"),
-        "alpha": Opt(float, 0.1, "regularizer weight"),
-        "p": Opt(_parse_p, math.inf, "torus metric exponent; inf for Chebyshev"),
+        "p": _METRIC_P,
         "seed": Opt(int, 0, "PRNG seed for the point sample"),
         **_COMMON,
     },
     "analytic-spectrum": {**_GRID, **_COMMON},
     "levy": {
-        "d": Opt(int, 1, "ambient dimension"),
+        "d": _GRID["d"],
         "gamma": Opt(float, 8.0, "target mean degree"),
-        "alpha": Opt(float, 0.1, "regularizer weight"),
-        "p": Opt(_parse_p, math.inf, "torus metric exponent; inf for Chebyshev"),
+        "alpha": _GRID["alpha"],
+        "p": _METRIC_P,
         "n_list": Opt(_parse_int_list, [1024, 2048, 4096],
                       "comma-separated point counts"),
         "seeds": Opt(int, 10, "number of trials per size, seeds 0..s-1"),
@@ -170,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(flag, action="store_true", default=None,
                                 help=opt.help)
             elif name == "kind":
-                sp.add_argument(flag, choices=("rgg", "dgg"), default=None,
+                sp.add_argument(flag, choices=_KINDS, default=None,
                                 help=opt.help)
             else:
                 sp.add_argument(flag, type=opt.conv, default=None,
@@ -257,12 +270,6 @@ def _grid_radius(gamma_prime: int, d: int, N: int) -> float:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _prepare_outdir(cfg: dict) -> Path:
-    outdir = Path(_require(cfg, "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
 def _jsonable(v):
     if isinstance(v, float) and math.isinf(v):
         return "inf"
@@ -272,9 +279,9 @@ def _jsonable(v):
 
 
 def _write_manifest(outdir: Path, command: str, cfg: dict,
-                    wall: float, files: list[Path]) -> Path:
-    outputs = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-               for f in sorted(files, key=lambda f: f.name)}
+                    wall: float, names: list[str]) -> None:
+    outputs = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+               for name in sorted(names)}
     payload = {
         "command": command,
         "config": {k: _jsonable(v) for k, v in sorted(cfg.items())},
@@ -283,25 +290,20 @@ def _write_manifest(outdir: Path, command: str, cfg: dict,
         "version": __version__,
         "wall_seconds": round(wall, 3),
     }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    (outdir / "manifest.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_svg(path: Path, xs, ys, title: str, xlabel: str, ylabel: str,
-               logx: bool = False, logy: bool = False) -> Path:
-    """Minimal deterministic line chart; no styling beyond one polyline."""
+               log: bool = False) -> None:
+    """Minimal deterministic line chart, linear or log-log; one polyline."""
     pts = []
     for x, y in zip(xs, ys):
         x, y = float(x), float(y)
-        if logx:
-            if x <= 0.0:
+        if log:
+            if x <= 0.0 or y <= 0.0:
                 continue
-            x = math.log10(x)
-        if logy:
-            if y <= 0.0:
-                continue
-            y = math.log10(y)
+            x, y = math.log10(x), math.log10(y)
         if math.isfinite(x) and math.isfinite(y):
             pts.append((x, y))
     if not pts:
@@ -322,7 +324,7 @@ def _write_svg(path: Path, xs, ys, title: str, xlabel: str, ylabel: str,
     def py(y):
         return H - MB - (y - y0) / (y1 - y0) * (H - MT - MB)
 
-    def tick(v, log):
+    def tick(v):
         return "%.4g" % (10.0 ** v if log else v)
 
     poly = " ".join("%.2f,%.2f" % (px(x), py(y)) for x, y in pts)
@@ -337,31 +339,26 @@ def _write_svg(path: Path, xs, ys, title: str, xlabel: str, ylabel: str,
         f'<text x="{W / 2:.0f}" y="{H - 12}" text-anchor="middle">{xlabel}</text>',
         f'<text x="16" y="{H / 2:.0f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {H / 2:.0f})">{ylabel}</text>',
-        f'<text x="{ML}" y="{H - MB + 16}" text-anchor="middle">'
-        f'{tick(x0, logx)}</text>',
-        f'<text x="{W - MR}" y="{H - MB + 16}" text-anchor="end">'
-        f'{tick(x1, logx)}</text>',
-        f'<text x="{ML - 6}" y="{H - MB}" text-anchor="end">{tick(y0, logy)}</text>',
-        f'<text x="{ML - 6}" y="{MT + 10}" text-anchor="end">{tick(y1, logy)}</text>',
+        f'<text x="{ML}" y="{H - MB + 16}" text-anchor="middle">{tick(x0)}</text>',
+        f'<text x="{W - MR}" y="{H - MB + 16}" text-anchor="end">{tick(x1)}</text>',
+        f'<text x="{ML - 6}" y="{H - MB}" text-anchor="end">{tick(y0)}</text>',
+        f'<text x="{ML - 6}" y="{MT + 10}" text-anchor="end">{tick(y1)}</text>',
         f'<polyline points="{poly}" fill="none" stroke="#1f6feb" '
         'stroke-width="1.5"/>',
         "</svg>",
     ]
     path.write_text("\n".join(parts) + "\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
-# output files written by more than one subcommand; each returns its files
+# outputs of more than one subcommand, as (file name, write(path)) pairs
 
-def _write_eigenvalues(cfg: dict, outdir: Path, ev, title: str) -> list[Path]:
+def _eigenvalue_outputs(ev, title: str) -> list:
     from .torus import _write_csv
-    files = [_write_csv(outdir / "eigenvalues.csv", "index,lambda",
-                        "%d,%.17g\n", enumerate(ev))]
-    if cfg["svg"]:
-        files.append(_write_svg(outdir / "spectrum.svg", range(ev.size), ev,
-                                title, "rank", "lambda"))
-    return files
+    return [("eigenvalues.csv", partial(_write_csv, header="index,lambda",
+                                        template="%d,%.17g\n", rows=enumerate(ev))),
+            ("spectrum.svg", partial(_write_svg, xs=range(ev.size), ys=ev, title=title,
+                                     xlabel="rank", ylabel="lambda"))]
 
 
 def _shifted_grid_spectrum(cfg: dict):
@@ -375,20 +372,19 @@ def _shifted_grid_spectrum(cfg: dict):
     return gp, specdim.shift_spectrum(spec, analytic.regularizer_gap(gp, alpha))
 
 
-def _write_heat_trace(cfg: dict, outdir: Path, ht) -> list[Path]:
+def _heat_trace_outputs(ht) -> list:
     from .torus import _write_csv
     signal = ht.values - ht.stationary_offset
-    files = [_write_csv(outdir / "heat_trace.csv", "t,p0,p0_minus_offset",
-                        "%.17g,%.17g,%.17g\n", zip(ht.times, ht.values, signal))]
-    if cfg["svg"]:
-        files.append(_write_svg(outdir / "heat_trace.svg", ht.times, signal,
-                                "heat-trace decay", "t", "P0(t) - offset",
-                                logx=True, logy=True))
-    return files
+    return [("heat_trace.csv", partial(_write_csv, header="t,p0,p0_minus_offset",
+                                       template="%.17g,%.17g,%.17g\n",
+                                       rows=zip(ht.times, ht.values, signal))),
+            ("heat_trace.svg", partial(_write_svg, xs=ht.times, ys=signal, log=True,
+                                       title="heat-trace decay", xlabel="t",
+                                       ylabel="P0(t) - offset"))]
 
 
-def _run_mc(cfg: dict, outdir: Path, gp: int):
-    """Unregularized walk on the matching grid; returns (files, freq, n)."""
+def _run_mc(cfg: dict, gp: int):
+    """Unregularized walk on the matching grid; returns (freq, n, outputs)."""
     import numpy as np
 
     from . import graphs, specdim
@@ -398,26 +394,28 @@ def _run_mc(cfg: dict, outdir: Path, gp: int):
     freq = specdim.mc_return_probability(g, cfg["tmax"], cfg["walkers"],
                                          cfg["seed"])
     se = specdim.mc_stderr(freq, cfg["walkers"])
-    files = [_write_csv(outdir / "mc_returns.csv", "t,return_freq,stderr",
-                        "%d,%.17g,%.17g\n", zip(range(freq.size), freq, se))]
-    if cfg["svg"]:
-        files.append(_write_svg(
-            outdir / "mc_returns.svg", np.arange(freq.size), freq - 1.0 / g.n,
-            "return frequency minus 1/n", "t", "signal", logx=True, logy=True))
-    return files, freq, g.n
+    return freq, g.n, [
+        ("mc_returns.csv", partial(_write_csv, header="t,return_freq,stderr",
+                                   template="%d,%.17g,%.17g\n",
+                                   rows=zip(range(freq.size), freq, se))),
+        ("mc_returns.svg", partial(_write_svg, xs=np.arange(freq.size),
+                                   ys=freq - 1.0 / g.n, log=True,
+                                   title="return frequency minus 1/n",
+                                   xlabel="t", ylabel="signal"))]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns the list of files it wrote
+# subcommand handlers; each computes everything, writes nothing, and returns
+# (file name, write(path)) pairs
 
-def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
+def _cmd_spectrum(cfg: dict) -> list:
     from . import analytic, graphs, spectra, torus
 
-    files: list[Path] = []
     d = cfg["d"]
     alpha = cfg["alpha"]
     metric = torus.MetricSpec(p=cfg["p"])
-    pts = analytic_ref = None
+    outputs = []
+    analytic_ref = None
     if cfg["kind"] == "rgg":
         n = _require(cfg, "n")
         if cfg["radius"] is not None:
@@ -426,6 +424,7 @@ def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
             radius = torus.radius_for_gamma(_require(cfg, "gamma"), n, d, metric)
         pts = torus.sample_uniform_points(n, d, cfg["seed"])
         g = graphs.build_rgg(pts, radius, metric)
+        outputs.append(("points.csv", partial(torus.write_points_csv, pts)))
     else:
         N = _require(cfg, "N")
         gp = None
@@ -437,27 +436,21 @@ def _cmd_spectrum(cfg: dict, outdir: Path) -> list[Path]:
         g = graphs.build_dgg(N ** d, d, radius, metric)
         if gp is not None and metric.p == torus.INF:
             analytic_ref = analytic.analytic_spectrum(N, gp, alpha, d)
+    outputs.append(("graph.csv", partial(graphs.write_graph_csv, g)))
 
-    # the eigensolve runs first so that a failed run leaves no partial output
     ev = spectra.spectrum_of_graph(g, alpha).eigenvalues
-    if pts is not None:
-        torus.write_points_csv(pts, outdir / "points.csv")
-        files.append(outdir / "points.csv")
-    graphs.write_graph_csv(g, outdir / "graph.csv")
-    files.append(outdir / "graph.csv")
-    files += _write_eigenvalues(cfg, outdir, ev,
-                                f"{g.kind} spectrum, n = {ev.size}")
+    outputs += _eigenvalue_outputs(ev, f"{g.kind} spectrum, n = {ev.size}")
     if analytic_ref is not None:
-        files.append(torus._write_csv(
-            outdir / "comparison.csv", "index,numeric,analytic,abs_diff",
-            "%d,%.17g,%.17g,%.17g\n",
-            zip(range(ev.size), ev, analytic_ref, abs(ev - analytic_ref))))
+        outputs.append(("comparison.csv", partial(
+            torus._write_csv, header="index,numeric,analytic,abs_diff",
+            template="%d,%.17g,%.17g,%.17g\n",
+            rows=zip(range(ev.size), ev, analytic_ref, abs(ev - analytic_ref)))))
     print(f"{g.kind}: n={g.n} mean_degree={g.mean_degree():.6g} "
           f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}]")
-    return files
+    return outputs
 
 
-def _cmd_analytic_spectrum(cfg: dict, outdir: Path) -> list[Path]:
+def _cmd_analytic_spectrum(cfg: dict) -> list:
     import numpy as np
 
     from . import analytic
@@ -467,18 +460,17 @@ def _cmd_analytic_spectrum(cfg: dict, outdir: Path) -> list[Path]:
     N = _require(cfg, "N")
     gp = _resolve_gamma_prime(cfg, d)
     modes, w, lam = analytic.mode_table(N, gp, cfg["alpha"], d)
-    files = [_write_csv(outdir / "modes.csv",
-                        ",".join(f"m{s + 1}" for s in range(d)) + ",w,lambda",
-                        "%d," * d + "%.17g,%.17g\n", zip(*modes.T, w, lam))]
     ev = np.sort(lam)
-    files += _write_eigenvalues(cfg, outdir, ev,
-                                f"closed-form spectrum, N = {N}, d = {d}")
     print(f"dgg closed form: n={ev.size} gamma_prime={gp} "
           f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}]")
-    return files
+    return [("modes.csv", partial(
+                _write_csv, rows=zip(*modes.T, w, lam),
+                header=",".join(f"m{s + 1}" for s in range(d)) + ",w,lambda",
+                template="%d," * d + "%.17g,%.17g\n")),
+            *_eigenvalue_outputs(ev, f"closed-form spectrum, N = {N}, d = {d}")]
 
 
-def _cmd_levy(cfg: dict, outdir: Path) -> list[Path]:
+def _cmd_levy(cfg: dict) -> list:
     from . import spectra, torus
 
     d = cfg["d"]
@@ -489,12 +481,6 @@ def _cmd_levy(cfg: dict, outdir: Path) -> list[Path]:
         raise ValueError("seeds must be >= 1")
     rows = spectra.convergence_study(d, cfg["gamma"], cfg["alpha"], metric,
                                      n_list, seeds)
-    files = [torus._write_csv(
-        outdir / "convergence.csv",
-        "n,seed,gamma,gamma_prime,alpha,levy,levy_cubed,threshold,exceeds",
-        "%d,%d,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%d\n",
-        ((r.n, r.seed, r.gamma, r.gamma_prime, r.alpha, r.levy, r.levy_cubed,
-          r.threshold, r.exceeds) for r in rows))]
     medians = []
     for n in n_list:
         levies = [r.levy for r in rows if r.n == n]
@@ -503,20 +489,24 @@ def _cmd_levy(cfg: dict, outdir: Path) -> list[Path]:
         medians.append(med)
         print(f"n={n} trials={len(levies)} median_levy={med:.6g} "
               f"exceeds={exceed}")
-    if cfg["svg"]:
-        files.append(_write_svg(outdir / "levy_vs_n.svg", n_list, medians,
-                                "median Levy distance vs size", "n",
-                                "median L", logx=True, logy=True))
-    return files
+    return [("convergence.csv", partial(
+                torus._write_csv, header="n,seed,gamma,gamma_prime,alpha,levy,"
+                                         "levy_cubed,threshold,exceeds",
+                template="%d,%d,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%d\n",
+                rows=((r.n, r.seed, r.gamma, r.gamma_prime, r.alpha, r.levy,
+                       r.levy_cubed, r.threshold, r.exceeds) for r in rows))),
+            ("levy_vs_n.svg", partial(_write_svg, xs=n_list, ys=medians, log=True,
+                                      title="median Levy distance vs size",
+                                      xlabel="n", ylabel="median L"))]
 
 
-def _cmd_specdim(cfg: dict, outdir: Path) -> list[Path]:
+def _cmd_specdim(cfg: dict) -> list:
     import numpy as np
 
     from . import analytic, specdim
     from .torus import _write_csv
 
-    files: list[Path] = []
+    outputs = []
     d, alpha = cfg["d"], cfg["alpha"]
     gp, shifted = _shifted_grid_spectrum(cfg)
     methods = cfg["methods"]
@@ -527,18 +517,18 @@ def _cmd_specdim(cfg: dict, outdir: Path) -> list[Path]:
     if "heat" in methods:
         ht = specdim.heat_trace(shifted, specdim.default_heat_grid(shifted))
         estimates.append(specdim.estimate_ds_from_heat_trace(ht))
-        files += _write_heat_trace(cfg, outdir, ht)
+        outputs += _heat_trace_outputs(ht)
     if "mc" in methods:
-        mc_files, freq, n_nodes = _run_mc(cfg, outdir, gp)
-        files += mc_files
+        freq, n_nodes, mc_outputs = _run_mc(cfg, gp)
+        outputs += mc_outputs
         estimates.append(specdim.estimate_ds_from_mc(freq, n_nodes))
 
-    files.append(_write_csv(
-        outdir / "estimates.csv",
-        "method,d_s,slope,window_lo,window_hi,r_squared,n_points",
-        "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
-        ((e.method, e.d_s, e.slope, e.window[0], e.window[1], e.r_squared,
-          e.n_points) for e in estimates)))
+    outputs.append(("estimates.csv", partial(
+        _write_csv,
+        header="method,d_s,slope,window_lo,window_hi,r_squared,n_points",
+        template="%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
+        rows=((e.method, e.d_s, e.slope, e.window[0], e.window[1],
+               e.r_squared, e.n_points) for e in estimates))))
 
     w = np.linspace(0.0, 0.02, 401)
     exact = analytic.limit_eigenvalue_sweep(w, gp, alpha, d)
@@ -546,18 +536,18 @@ def _cmd_specdim(cfg: dict, outdir: Path) -> list[Path]:
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(exact != 0.0, np.abs(exact - tay) / np.abs(exact),
                        np.where(tay == 0.0, 0.0, np.inf))
-    files.append(_write_csv(
-        outdir / "taylor_curve.csv", "w,lambda_exact,lambda_taylor,rel_dev",
-        "%.17g,%.17g,%.17g,%.17g\n", zip(w, exact, tay, rel)))
+    outputs.append(("taylor_curve.csv", partial(
+        _write_csv, header="w,lambda_exact,lambda_taylor,rel_dev",
+        template="%.17g,%.17g,%.17g,%.17g\n", rows=zip(w, exact, tay, rel))))
 
     for e in estimates:
         print(f"{e.method}: d_s={e.d_s:.6g} r2={e.r_squared:.6g} "
               f"window=[{e.window[0]:.6g}, {e.window[1]:.6g}] "
               f"points={e.n_points}")
-    return files
+    return outputs
 
 
-def _cmd_diffusion(cfg: dict, outdir: Path) -> list[Path]:
+def _cmd_diffusion(cfg: dict) -> list:
     import numpy as np
 
     from . import specdim
@@ -566,11 +556,11 @@ def _cmd_diffusion(cfg: dict, outdir: Path) -> list[Path]:
     horizon = specdim.find_heat_horizon(shifted, t_lo=1.0)
     t_hi = max(horizon, 2.0)
     grid = np.geomspace(1.0, t_hi, specdim.HEAT_GRID_POINTS)
-    files = _write_heat_trace(cfg, outdir, specdim.heat_trace(shifted, grid))
-    mc_files, _, n_nodes = _run_mc(cfg, outdir, gp)
+    outputs = _heat_trace_outputs(specdim.heat_trace(shifted, grid))
+    _, n_nodes, mc_outputs = _run_mc(cfg, gp)
     print(f"heat grid [1, {t_hi:.6g}] with {grid.size} points; "
           f"{cfg['walkers']} walkers to t={cfg['tmax']} on n={n_nodes}")
-    return files + mc_files
+    return outputs + mc_outputs
 
 
 _HANDLERS = {
@@ -588,10 +578,16 @@ def main(argv=None) -> int:
     try:
         cfg = _merge(args, _OPTS[args.command])
         _apply_threads(cfg)
-        outdir = _prepare_outdir(cfg)
-        files = _HANDLERS[args.command](cfg, outdir)
+        # a bad --out fails here, before any work
+        outdir = Path(_require(cfg, "out"))
+        outdir.mkdir(parents=True, exist_ok=True)
+        written = []
+        for name, write in _HANDLERS[args.command](cfg):
+            if cfg["svg"] or not name.endswith(".svg"):
+                write(outdir / name)
+                written.append(name)
         _write_manifest(outdir, args.command, cfg,
-                        time.perf_counter() - start, files)
+                        time.perf_counter() - start, written)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -9,8 +9,7 @@ Three routes to d_s, designed to cross-validate each other:
   frequencies on the unregularized grid graph.
 
 All fits are plain least squares of log against log over an explicit
-window; windows and gates are configurable and the defaults are recorded
-in run manifests.
+window; the windows and r-squared gates are the module constants below.
 """
 
 from __future__ import annotations
@@ -104,24 +103,22 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def estimate_ds_from_spectrum(spec: SpectralDistribution,
-                              window_fraction: float = CDF_WINDOW_FRACTION,
-                              min_points: int = CDF_MIN_POINTS) -> SpecDimEstimate:
+def estimate_ds_from_spectrum(spec: SpectralDistribution) -> SpecDimEstimate:
     """d_s = 2x the slope of log F(lambda) vs log lambda near zero.
 
     Eigenvalues at or below the zero tolerance are discarded, the smallest
-    ceil(window_fraction * n) survivors form the window, and F uses the
+    ceil(CDF_WINDOW_FRACTION * n) survivors form the window, and F uses the
     right limit rank/n at each distinct value so log F is finite at the
     smallest point.
     """
     ev = spec.eigenvalues
     positive = ev[ev > ZERO_TOL]
-    k = math.ceil(window_fraction * spec.n)
+    k = math.ceil(CDF_WINDOW_FRACTION * spec.n)
     window = positive[:k]
     distinct = np.unique(window)
-    if distinct.size < min_points:
+    if distinct.size < CDF_MIN_POINTS:
         raise EstimationError(
-            f"need at least {min_points} distinct nonzero eigenvalues in the "
+            f"need at least {CDF_MIN_POINTS} distinct nonzero eigenvalues in the "
             f"fit window, observed {distinct.size}")
     F = np.searchsorted(ev, distinct, side="right") / spec.n
     slope, _, r2 = _loglog_fit(distinct, F)
@@ -170,21 +167,17 @@ def find_heat_horizon(spec: SpectralDistribution,
     return math.sqrt(lo * hi)
 
 
-def default_heat_grid(spec: SpectralDistribution,
-                      t_lo: float = HEAT_T_LO,
-                      threshold: float = HEAT_SIGNAL_THRESHOLD,
-                      n_points: int = HEAT_GRID_POINTS) -> np.ndarray:
-    """Log-spaced times from t_lo to the signal horizon."""
-    t_hi = find_heat_horizon(spec, threshold, t_lo)
-    if t_hi <= t_lo:
-        raise EstimationError(
-            f"heat-trace signal is already below {threshold} at t = {t_lo}")
-    return np.logspace(math.log10(t_lo), math.log10(t_hi), n_points)
+def default_heat_grid(spec: SpectralDistribution) -> np.ndarray:
+    """HEAT_GRID_POINTS log-spaced times from HEAT_T_LO to the signal horizon."""
+    t_hi = find_heat_horizon(spec)
+    if t_hi <= HEAT_T_LO:
+        raise EstimationError(f"heat-trace signal is already below "
+                              f"{HEAT_SIGNAL_THRESHOLD} at t = {HEAT_T_LO}")
+    return np.logspace(math.log10(HEAT_T_LO), math.log10(t_hi), HEAT_GRID_POINTS)
 
 
-def estimate_ds_from_heat_trace(ht: HeatTrace,
-                                window: tuple[float, float] | None = None,
-                                r2_gate: float = HEAT_R2_GATE) -> SpecDimEstimate:
+def estimate_ds_from_heat_trace(
+        ht: HeatTrace, window: tuple[float, float] | None = None) -> SpecDimEstimate:
     """d_s = -2x the slope of log(P0(t) - offset) vs log t over the window."""
     t = ht.times
     if window is None:
@@ -202,9 +195,9 @@ def estimate_ds_from_heat_trace(ht: HeatTrace,
         raise EstimationError(
             f"need at least 5 grid times in the window, observed {signal.size}")
     slope, _, r2 = _loglog_fit(t[mask], signal)
-    if not r2 >= r2_gate:  # also rejects a NaN fit
+    if not r2 >= HEAT_R2_GATE:  # also rejects a NaN fit
         raise EstimationError(
-            f"heat-trace fit r_squared {r2:.4f} below gate {r2_gate}; the "
+            f"heat-trace fit r_squared {r2:.4f} below gate {HEAT_R2_GATE}; the "
             "decay is not a power law over this window")
     return SpecDimEstimate(method="heat_trace", d_s=-2.0 * slope, slope=slope,
                            window=(float(lo), float(hi)), r_squared=r2,
@@ -265,34 +258,31 @@ def mc_stderr(freq: np.ndarray, walkers: int) -> np.ndarray:
     return np.sqrt(p * (1.0 - p) / walkers)
 
 
-def estimate_ds_from_mc(freq: np.ndarray, n: int,
-                        t_lo: int = MC_T_LO,
-                        signal_floor: float = MC_SIGNAL_FLOOR,
-                        r2_gate: float = MC_R2_GATE) -> SpecDimEstimate:
+def estimate_ds_from_mc(freq: np.ndarray, n: int) -> SpecDimEstimate:
     """d_s from the log-log decay of return frequency minus the 1/n plateau.
 
-    The window runs from t_lo to the last step where the subtracted signal
-    still clears `signal_floor`; beyond that the finite-size plateau and
-    sampling noise dominate the slope.
+    The window runs from MC_T_LO to the last step where the subtracted
+    signal still clears MC_SIGNAL_FLOOR; beyond that the finite-size plateau
+    and sampling noise dominate the slope.
     """
     freq = np.asarray(freq, dtype=float)
     t = np.arange(freq.size)
     signal = freq - 1.0 / n
-    candidates = np.flatnonzero((t >= t_lo) & (signal >= signal_floor))
+    candidates = np.flatnonzero((t >= MC_T_LO) & (signal >= MC_SIGNAL_FLOOR))
     if candidates.size == 0:
         raise EstimationError(
-            f"no steps at t >= {t_lo} with signal >= {signal_floor}")
+            f"no steps at t >= {MC_T_LO} with signal >= {MC_SIGNAL_FLOOR}")
     t_hi = int(t[candidates[-1]])
-    mask = (t >= t_lo) & (t <= t_hi) & (signal > 0)
+    mask = (t >= MC_T_LO) & (t <= t_hi) & (signal > 0)
     if int(mask.sum()) < 5:
         raise EstimationError(
             f"need at least 5 usable steps in the window, observed {int(mask.sum())}")
     slope, _, r2 = _loglog_fit(t[mask].astype(float), signal[mask])
-    if not r2 >= r2_gate:  # also rejects a NaN fit
+    if not r2 >= MC_R2_GATE:  # also rejects a NaN fit
         raise EstimationError(
-            f"return-frequency fit r_squared {r2:.4f} below gate {r2_gate}")
+            f"return-frequency fit r_squared {r2:.4f} below gate {MC_R2_GATE}")
     return SpecDimEstimate(method="monte_carlo", d_s=-2.0 * slope, slope=slope,
-                           window=(float(t_lo), float(t_hi)), r_squared=r2,
+                           window=(float(MC_T_LO), float(t_hi)), r_squared=r2,
                            n_points=int(mask.sum()))
 
 

@@ -2,6 +2,9 @@
 
 import json
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +86,14 @@ class TestSpectrumCommand:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_kind_rejected_by_parser(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--kind", "bogus", "--N", "16",
+                  "--gamma-prime", "4", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and "rgg" in err and "dgg" in err
 
     def test_oversized_order_is_capacity_error(self, tmp_path, capsys):
         code = main(["spectrum", "--kind", "dgg", "--d", "1", "--N", "8200",
@@ -256,6 +267,33 @@ class TestUsageErrors:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestFailedRunWritesNothing:
+    @pytest.mark.parametrize("argv,expected", [
+        (["diffusion", "--d", "1", "--N", "64", "--gamma-prime", "4",
+          "--walkers", "0"], EXIT_USAGE),
+        (["specdim", "--d", "1", "--N", "512", "--gamma-prime", "16",
+          "--tmax", "5"], EXIT_ESTIMATION),
+        (["specdim", "--d", "1", "--N", "512", "--gamma-prime", "16",
+          "--walkers", "0"], EXIT_USAGE),
+    ])
+    def test_out_absent_or_empty(self, tmp_path, capsys, argv, expected):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == expected
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_out_is_a_file_fails_before_work(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        out.write_text("keep\n")
+        code = main(["analytic-spectrum", "--d", "1", "--N", "8",
+                     "--gamma-prime", "4", "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the handler prints a summary when it runs
+        assert "error:" in captured.err
+        assert out.read_text() == "keep\n"
+
+
 class TestManifest:
     def test_structure_and_hashes(self, tmp_path):
         out = tmp_path / "run"
@@ -316,6 +354,16 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert f"{cfg_file}:2" in capsys.readouterr().err
 
+    def test_bad_kind_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("kind = bogus\n")
+        out = tmp_path / "x"
+        code = main(["spectrum", "--config", str(cfg_file), "--d", "1",
+                     "--N", "16", "--gamma-prime", "4", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestThreadControl:
     def test_flag_pins_blas_env(self, tmp_path, monkeypatch):
@@ -339,6 +387,17 @@ class TestThreadControl:
         import os
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         assert read_manifest(out)["config"]["threads"] == 3
+
+    def test_import_loads_no_numeric_library(self):
+        # --threads can pin BLAS only because importing the CLI leaves
+        # numpy and scipy unloaded
+        src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, rgg_spectra.cli; "
+                 "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_nonpositive_threads_rejected(self, tmp_path):
         code = main(["analytic-spectrum", "--d", "1", "--N", "8",

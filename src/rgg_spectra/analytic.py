@@ -38,10 +38,14 @@ def _odd_root(gamma_prime: float, d: int) -> int:
     return root
 
 
-def _check_regularizer(gamma_prime: float, alpha: float) -> None:
-    """The dense assembly's checks on alpha, with its messages."""
+def _check_alpha(alpha: float) -> None:
     if not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+
+
+def _check_regularizer(gamma_prime: float, alpha: float) -> None:
+    """The dense assembly's checks on alpha, with its messages."""
+    _check_alpha(alpha)
     if gamma_prime + alpha == 0:
         raise SingularityError("alpha = 0 requires minimum degree >= 1")
 

@@ -413,6 +413,7 @@ def _cmd_spectrum(cfg: dict) -> list:
 
     d = cfg["d"]
     alpha = cfg["alpha"]
+    analytic._check_alpha(alpha)
     metric = torus.MetricSpec(p=cfg["p"])
     outputs = []
     analytic_ref = None

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _check_alpha
 from .errors import SingularityError
 from .graphs import GeometricGraph
 
@@ -50,8 +51,7 @@ class RegNormLaplacian:
 
 def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     """eye(n) - (A + alpha/n) * outer(s, s), built in one n x n buffer."""
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+    _check_alpha(alpha)
     if alpha == 0 and np.any(g.degrees == 0):
         raise SingularityError(
             "alpha = 0 requires minimum degree >= 1 (isolated vertex present)")

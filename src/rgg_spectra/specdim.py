@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .graphs import GeometricGraph
-from .spectra import SpectralDistribution
+from .spectra import SpectralDistribution, esd_cdf
 
 ZERO_TOL = 1e-9
 CDF_WINDOW_FRACTION = 0.02
@@ -120,7 +120,7 @@ def estimate_ds_from_spectrum(spec: SpectralDistribution) -> SpecDimEstimate:
         raise EstimationError(
             f"need at least {CDF_MIN_POINTS} distinct nonzero eigenvalues in the "
             f"fit window, observed {distinct.size}")
-    F = np.searchsorted(ev, distinct, side="right") / spec.n
+    F = esd_cdf(spec, distinct, side="right")
     slope, _, r2 = _loglog_fit(distinct, F)
     return SpecDimEstimate(method="cdf_slope", d_s=2.0 * slope, slope=slope,
                            window=(float(distinct[0]), float(distinct[-1])),
@@ -143,24 +143,24 @@ def _p0_minus_offset(spec: SpectralDistribution, t: float) -> float:
 
 
 def find_heat_horizon(spec: SpectralDistribution,
-                      threshold: float = HEAT_SIGNAL_THRESHOLD,
                       t_lo: float = HEAT_T_LO) -> float:
-    """Largest useful fit time: where P0(t) - offset decays to `threshold`.
+    """Largest useful fit time: where P0(t) - offset decays to
+    HEAT_SIGNAL_THRESHOLD.
 
     Raises EstimationError if the signal has not decayed by t = 1e12.
     """
-    if _p0_minus_offset(spec, t_lo) <= threshold:
+    if _p0_minus_offset(spec, t_lo) <= HEAT_SIGNAL_THRESHOLD:
         return t_lo
     lo, hi = t_lo, t_lo
-    while _p0_minus_offset(spec, hi) > threshold:
+    while _p0_minus_offset(spec, hi) > HEAT_SIGNAL_THRESHOLD:
         hi *= 2.0
         if hi > 1e12:
             raise EstimationError(
-                f"heat-trace signal still above {threshold} at t = {hi:.3g}; "
-                "the spectrum has a negative eigenvalue")
+                f"heat-trace signal still above {HEAT_SIGNAL_THRESHOLD} at "
+                f"t = {hi:.3g}; the spectrum has a negative eigenvalue")
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if _p0_minus_offset(spec, mid) > threshold:
+        if _p0_minus_offset(spec, mid) > HEAT_SIGNAL_THRESHOLD:
             lo = mid
         else:
             hi = mid

@@ -34,6 +34,8 @@ class SpectralDistribution:
         ev = np.sort(np.asarray(self.eigenvalues, dtype=float).ravel())
         if ev.size != self.n or self.n < 1:
             raise ValueError("eigenvalue count must equal n >= 1")
+        if not np.all(np.isfinite(ev)):
+            raise ValueError("eigenvalues must be finite")
         object.__setattr__(self, "eigenvalues", ev)
 
     @classmethod
@@ -78,46 +80,37 @@ def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
     return full_spectrum(L)
 
 
-def _band_feasible(ea: np.ndarray, eb: np.ndarray, eps: float,
-                   slack: float = 1e-15) -> bool:
-    """Whether each ESD stays within the eps band of the other everywhere.
+def _rotated_cdf(e: np.ndarray, lo: float, hi: float):
+    """Corners (u, v) = (x + y, y - x) of the completed graph of the ESD CDF.
 
-    The band condition F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all real x is
-    symmetric in (F, G).  Both one-sided limits are checked at every jump of
-    either CDF (shifted by +-eps for F), which covers all of R because the
-    CDFs are piecewise constant.
+    Jumps turn into segments of slope +1 and flats into segments of slope
+    -1, so v is a 1-Lipschitz piecewise-linear function of u.  The level-0
+    ray is closed at the point (x, y) = (lo, 0) and the level-1 ray at
+    (hi - 1, 1); two curves closed at the same lo and hi agree outside.
     """
-    na, nb = ea.size, eb.size
-    crit = np.concatenate([eb, ea - eps, ea + eps])
-    for side in ("left", "right"):
-        F = np.searchsorted(ea, crit - eps, side=side) / na
-        G = np.searchsorted(eb, crit, side=side) / nb
-        if np.any(F - eps - G > slack):
-            return False
-        F = np.searchsorted(ea, crit + eps, side=side) / na
-        if np.any(G - F - eps > slack):
-            return False
-    return True
+    y = np.repeat(np.arange(e.size + 1) / e.size, 2)[1:-1]
+    x = np.repeat(e, 2)
+    return (np.concatenate([[lo], x + y, [hi]]),
+            np.concatenate([[-lo], y - x, [2.0 - hi]]))
 
 
-def levy_distance(fa: SpectralDistribution, fb: SpectralDistribution,
-                  tol: float = 1e-9) -> LevyResult:
-    """Levy distance by bisection on the band width.
+def levy_distance(fa: SpectralDistribution, fb: SpectralDistribution) -> LevyResult:
+    """Exact Levy distance: half the largest gap between the rotated CDF graphs.
 
-    Feasibility of a band width is monotone, so bisection over [0, 1] is
-    exact up to the requested tolerance.
+    In u = x + y, v = y - x the band condition F(x-eps)-eps <= G(x) <=
+    F(x+eps)+eps for all x reads |v_F(u) - v_G(u)| <= 2 eps for all u.  Both
+    curves are piecewise linear, so the largest gap lies at a corner of one
+    of them.  The result is exactly symmetric and exactly 0 for equal inputs.
     """
     ea, eb = fa.eigenvalues, fb.eigenvalues
-    if _band_feasible(ea, eb, 0.0):
-        return LevyResult(distance=0.0, cube=0.0)
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _band_feasible(ea, eb, mid):
-            hi = mid
-        else:
-            lo = mid
-    return LevyResult(distance=hi, cube=hi ** 3)
+    lo = min(ea[0], eb[0]) - 1.0
+    hi = max(ea[-1], eb[-1]) + 2.0
+    ua, va = _rotated_cdf(ea, lo, hi)
+    ub, vb = _rotated_cdf(eb, lo, hi)
+    u = np.concatenate([ua, ub])
+    gap = np.abs(np.interp(u, ua, va) - np.interp(u, ub, vb))
+    dist = 0.5 * float(np.max(gap))
+    return LevyResult(distance=dist, cube=dist ** 3)
 
 
 def trace_bound(a: RegNormLaplacian, b: RegNormLaplacian) -> float:

@@ -3,8 +3,8 @@
 Everything here is deliberately independent of the package implementation:
 CDF evaluation goes through the bisect module on plain Python lists, the
 band check follows the textbook definition in both directions, and the
-distance is located on a fixed epsilon grid rather than by adaptive
-bisection on the reals.  Feasibility of a band width is monotone (a wider
+distance is located on a fixed epsilon grid rather than computed from the
+rotated CDF graphs.  Feasibility of a band width is monotone (a wider
 band contains a narrower one), so the smallest feasible grid multiple can
 be found either by exhaustive ascent or by integer bisection; both are
 provided so one can validate the other.

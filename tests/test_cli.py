@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rgg_spectra
-from rgg_spectra import analytic_spectrum
+from rgg_spectra import analytic_spectrum, torus
 from rgg_spectra.cli import (
     EXIT_CAPACITY,
     EXIT_ESTIMATION,
@@ -264,6 +264,25 @@ class TestUsageErrors:
         out = tmp_path / "x"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("alpha", ["nan", "-1", "inf"])
+    def test_bad_alpha_rejected_before_sampling(self, tmp_path, capsys,
+                                                monkeypatch, alpha):
+        calls = []
+        sample = torus.sample_uniform_points
+
+        def spy(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(torus, "sample_uniform_points", spy)
+        out = tmp_path / "x"
+        code = main(["spectrum", "--kind", "rgg", "--d", "2", "--n", "4096",
+                     "--gamma", "8", f"--alpha={alpha}", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "alpha must be nonnegative and finite" in capsys.readouterr().err
+        assert calls == []
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -21,6 +21,7 @@ from rgg_spectra import (
     mc_stderr,
     sample_uniform_points,
     shift_spectrum,
+    specdim,
     taylor_lambda,
     theoretical_cdf,
     theoretical_ds,
@@ -116,13 +117,15 @@ class TestHeatTrace:
 class TestHeatHorizon:
     def test_horizon_hits_threshold(self):
         sd = SpectralDistribution.from_values(analytic_spectrum(256, 4, 0.0, 1))
-        t_star = find_heat_horizon(sd, threshold=1e-3)
+        t_star = find_heat_horizon(sd)
         ht = heat_trace(sd, np.array([1.0, t_star]))
         assert ht.values[1] - ht.stationary_offset == pytest.approx(1e-3, rel=1e-6)
 
-    def test_lower_threshold_pushes_horizon_out(self):
+    def test_lower_threshold_pushes_horizon_out(self, monkeypatch):
         sd = SpectralDistribution.from_values(analytic_spectrum(256, 4, 0.0, 1))
-        assert find_heat_horizon(sd, 1e-4) > find_heat_horizon(sd, 1e-3)
+        t_star = find_heat_horizon(sd)
+        monkeypatch.setattr(specdim, "HEAT_SIGNAL_THRESHOLD", 1e-4)
+        assert find_heat_horizon(sd) > t_star
 
     def test_default_grid_shape(self):
         sd = SpectralDistribution.from_values(analytic_spectrum(256, 4, 0.0, 1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from levy_oracle import levy_grid_bisect, levy_grid_scan
+from levy_oracle import band_holds, levy_grid_bisect, levy_grid_scan
 from rgg_spectra import (
     DENSE_CAP,
     INF,
@@ -58,6 +58,11 @@ class TestSpectralDistribution:
         with pytest.raises(ValueError):
             sd([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_eigenvalue_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sd([bad, 0.1])
+
     def test_cdf_is_left_continuous(self):
         s = sd([0.0, 0.5, 0.5, 1.0])
         assert esd_cdf(s, 0.5) == 0.25
@@ -102,6 +107,29 @@ class TestLevyDistance:
             pkg = levy_distance(sd(ea), sd(eb)).distance
             orc = levy_grid_bisect(ea.tolist(), eb.tolist())
             assert abs(pkg - orc) <= 2e-6
+
+    def test_exact_at_band_edge(self):
+        # the result is the band edge: feasible, and infeasible 1e-10 below
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(15):
+            na, nb = rng.integers(2, 25, size=2)
+            pairs.append((rng.uniform(0, 2, na), rng.uniform(0, 2, nb)))
+        for _ in range(15):
+            na, nb = rng.integers(2, 25, size=2)
+            pairs.append((np.round(rng.uniform(0, 2, na), 1),
+                          np.round(rng.uniform(0, 2, nb), 1)))
+        for _ in range(5):
+            pairs.append((rng.uniform(0, 2, 3), rng.uniform(0, 2, 40)))
+        for _ in range(5):
+            pairs.append((rng.uniform(0, 2, 1), rng.uniform(0, 2, 1)))
+        pairs.append(([0.5], [0.2, 0.5, 0.5, 1.1]))
+        for ea, eb in pairs:
+            ea, eb = np.sort(ea).tolist(), np.sort(eb).tolist()
+            got = levy_distance(sd(ea), sd(eb)).distance
+            assert got > 0
+            assert band_holds(ea, eb, got + 1e-12)
+            assert not band_holds(ea, eb, got - 1e-10)
 
     def test_identical_inputs_give_exact_zero(self):
         vals = np.linspace(0, 2, 17)

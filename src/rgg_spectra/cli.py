@@ -2,8 +2,9 @@
 
 Five subcommands share one output convention: every run writes its data
 files plus a manifest.json (resolved configuration, toolkit version, PRNG
-algorithm, wall time, sha256 per file) into the --out directory.  Floats
-are printed with 17 significant digits so runs round-trip exactly.
+algorithm, dense eigensolver route, BLAS thread count in effect, wall time,
+sha256 per file) into the --out directory.  Floats are printed with 17
+significant digits so runs round-trip exactly.
 
 Only a run that succeeds writes files, the manifest last: each handler
 computes everything and returns (file name, write) pairs, which `main`
@@ -280,6 +281,8 @@ def _jsonable(v):
 
 def _write_manifest(outdir: Path, command: str, cfg: dict,
                     wall: float, names: list[str]) -> None:
+    from .spectra import _solver_provenance
+
     outputs = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
                for name in sorted(names)}
     payload = {
@@ -289,6 +292,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict,
         "prng": PRNG_ALGORITHM,
         "version": __version__,
         "wall_seconds": round(wall, 3),
+        **_solver_provenance(),
     }
     (outdir / "manifest.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -44,8 +44,10 @@ class RegNormLaplacian:
         for i in range(0, self.n, rows):
             diff = m[i:i + rows] - m[:, i:i + rows].T
             np.abs(diff, out=diff)
-            if np.max(diff, initial=0.0) > 1e-14:
-                raise ValueError("matrix must be symmetric to 1e-14")
+            # not <=, so NaN and inf entries, whose differences are NaN,
+            # fail too
+            if not np.max(diff, initial=0.0) <= 1e-14:
+                raise ValueError("matrix must be finite and symmetric to 1e-14")
         object.__setattr__(self, "matrix", m)
 
 

@@ -9,6 +9,8 @@ CDF stays inside the other's epsilon-band in both axes.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +23,17 @@ from .laplacian import RegNormLaplacian, assemble_dgg_laplacian, assemble_rgg_la
 from .torus import MetricSpec, grid_side, radius_for_gamma, sample_uniform_points
 
 DENSE_CAP = 8192  # largest order we will hand to the dense eigensolver
+
+# exports of numpy's bundled OpenBLAS as (symbol, restype, *argtypes): the
+# two-stage, eigenvalues-only LAPACK solver, whose trailing size_t arguments
+# are the Fortran lengths of jobz and uplo, and the thread-count getter
+_I64P = ctypes.POINTER(ctypes.c_int64)
+_DSYEVD_2STAGE = (
+    "scipy_dsyevd_2stage_64_", None,
+    ctypes.c_char_p, ctypes.c_char_p, _I64P, ctypes.c_void_p, _I64P,
+    ctypes.c_void_p, ctypes.c_void_p, _I64P, ctypes.c_void_p, _I64P, _I64P,
+    ctypes.c_size_t, ctypes.c_size_t)
+_GET_NUM_THREADS = ("scipy_openblas_get_num_threads64_", ctypes.c_int)
 
 
 @dataclass(frozen=True)
@@ -63,11 +76,82 @@ def _check_dense_cap(n: int) -> None:
             "grid spectrum for larger grids")
 
 
+@functools.cache
+def _openblas(symbol: str, restype, *argtypes):
+    """`symbol` from a loaded OpenBLAS library, declared; None if none has it.
+
+    numpy's wheels bundle an ILP64 OpenBLAS whose LAPACK names carry a
+    `scipy_` prefix and a `64_` suffix; the loaded copy is found by its path
+    in /proc/self/maps.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            fn = getattr(ctypes.CDLL(path), symbol, None)
+        except OSError:
+            continue
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, argtypes
+            return fn
+    return None
+
+
+def _solver_provenance() -> dict:
+    """The dense eigensolver route and the BLAS thread count in effect.
+
+    The count is read back from OpenBLAS, since a thread pin set after
+    numpy has loaded does not take effect; None if no getter is found.
+    """
+    get = _openblas(*_GET_NUM_THREADS)
+    return {"blas_threads": None if get is None else get(),
+            "eigensolver": "dsyevd_2stage" if _openblas(*_DSYEVD_2STAGE)
+            else "eigvalsh"}
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric a by LAPACK's two-stage dsyevd_2stage.
+
+    Solves a copy, so a is left as it was.  LAPACK reads the C-ordered
+    buffer as its transpose, so uplo "L", whose band reduction is the faster
+    one, reads the upper triangle; eigvalsh reads the lower.  The assembled
+    operators are bitwise symmetric, so both read the same values.  Falls
+    back to eigvalsh when no loaded OpenBLAS exports the routine.
+    """
+    solve = _openblas(*_DSYEVD_2STAGE)
+    if solve is None:
+        return np.linalg.eigvalsh(a)
+    buf = np.array(a, dtype=np.float64, order="C")
+    n = buf.shape[0]
+    if buf.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {buf.shape}")
+    w = np.empty(n)
+    i64 = ctypes.c_int64
+    info = i64(0)
+
+    def call(work, iwork, lwork, liwork):
+        solve(b"N", b"L", ctypes.byref(i64(n)), buf.ctypes.data,
+              ctypes.byref(i64(max(n, 1))), w.ctypes.data, work.ctypes.data,
+              ctypes.byref(i64(lwork)), iwork.ctypes.data,
+              ctypes.byref(i64(liwork)), ctypes.byref(info), 1, 1)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(
+                f"dsyevd_2stage failed with info = {info.value}")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, iwork, -1, -1)  # workspace query: sizes land in work, iwork
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, dtype=np.int64), lwork, liwork)
+    return w
+
+
 def full_spectrum(L: RegNormLaplacian) -> SpectralDistribution:
     """Dense symmetric eigensolve of the whole operator."""
     _check_dense_cap(L.n)
-    ev = np.linalg.eigvalsh(L.matrix)
-    return SpectralDistribution.from_values(ev)
+    return SpectralDistribution.from_values(_eigvalsh(L.matrix))
 
 
 def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:

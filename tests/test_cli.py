@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rgg_spectra
-from rgg_spectra import analytic_spectrum, torus
+from rgg_spectra import analytic_spectrum, spectra, torus
 from rgg_spectra.cli import (
     EXIT_CAPACITY,
     EXIT_ESTIMATION,
@@ -319,8 +319,8 @@ class TestManifest:
         main(["analytic-spectrum", "--d", "1", "--N", "16", "--gamma-prime", "4",
               "--out", str(out)])
         m = read_manifest(out)
-        assert set(m) == {"command", "config", "outputs", "prng", "version",
-                          "wall_seconds"}
+        assert set(m) == {"blas_threads", "command", "config", "eigensolver",
+                          "outputs", "prng", "version", "wall_seconds"}
         assert m["command"] == "analytic-spectrum"
         assert m["prng"] == "PCG64"
         assert m["version"] == rgg_spectra.__version__
@@ -338,6 +338,34 @@ class TestManifest:
         assert cfg["p"] == "inf"
         assert cfg["alpha"] == 0.1
         assert cfg["svg"] is False
+
+    def test_records_solver_route_and_threads_in_effect(self, tmp_path):
+        # a fresh process, so the pin takes effect before numpy loads
+        out = tmp_path / "run"
+        src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
+        subprocess.run([sys.executable, "-m", "rgg_spectra.cli", "spectrum",
+                        "--kind", "rgg", "--d", "1", "--n", "64", "--gamma", "4",
+                        "--threads", "1", "--out", str(out)],
+                       env={**os.environ, "PYTHONPATH": src}, check=True,
+                       capture_output=True)
+        m = read_manifest(out)
+        route = spectra._solver_provenance()["eigensolver"]
+        assert m["eigensolver"] == route
+        assert m["blas_threads"] == (1 if route == "dsyevd_2stage" else None)
+
+    def test_threads_record_the_count_in_effect(self, tmp_path, monkeypatch):
+        # numpy is loaded in this process, so --threads no longer applies
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        effective = spectra._solver_provenance()["blas_threads"]
+        requested = 1 if effective != 1 else 2
+        out = tmp_path / "run"
+        main(["analytic-spectrum", "--d", "1", "--N", "16", "--gamma-prime",
+              "4", "--threads", str(requested), "--out", str(out)])
+        m = read_manifest(out)
+        assert m["config"]["threads"] == requested
+        assert m["blas_threads"] == effective
 
 
 class TestConfigFile:

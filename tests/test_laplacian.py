@@ -81,6 +81,20 @@ class TestAssembly:
         m[n - 1, col] = 1e-15
         RegNormLaplacian(n=n, alpha=0.0, matrix=m, source_kind="rgg")
 
+    @pytest.mark.parametrize("entries", [
+        {(1, 2): math.nan},                        # one triangle only
+        {(1, 2): math.nan, (2, 1): math.nan},
+        {(1, 2): math.inf, (2, 1): math.inf},
+        {(1, 2): -math.inf, (2, 1): -math.inf},
+    ], ids=["one-sided-nan", "nan", "inf", "-inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_entries_rejected(self, entries):
+        m = np.eye(4)
+        for index, value in entries.items():
+            m[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            RegNormLaplacian(n=4, alpha=0.0, matrix=m, source_kind="rgg")
+
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
     def test_rgg_bitwise_equals_reference(self, alpha):
         g = build_rgg(sample_uniform_points(300, 2, 4), 0.1)

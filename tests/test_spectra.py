@@ -29,6 +29,7 @@ from rgg_spectra import (
     spectrum_of_graph,
     trace_bound,
 )
+from rgg_spectra import spectra
 from rgg_spectra.torus import grid_side
 
 
@@ -89,6 +90,116 @@ class TestDenseSpectra:
         g = build_dgg(9000, 1, 0.0002)
         with pytest.raises(CapacityError):
             spectrum_of_graph(g, 0.1)
+
+
+def rgg_laplacian(n, seed):
+    metric = MetricSpec(INF)
+    g = build_rgg(sample_uniform_points(n, 1, [seed, n]),
+                  radius_for_gamma(16.0, n, 1, metric), metric)
+    return assemble_rgg_laplacian(g, 0.1)
+
+
+class TestDenseSolver:
+    """The two-stage solver against eigvalsh, the oracle."""
+
+    def test_matches_eigvalsh_on_random_symmetric(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 13):
+            R = rng.normal(size=(n, n))
+            m = (R + R.T) / 2
+            got = spectra._eigvalsh(m)
+            assert np.max(np.abs(got - np.linalg.eigvalsh(m))) <= 1e-12, n
+
+    def test_matches_eigvalsh_on_rgg_laplacian(self):
+        L = rgg_laplacian(1024, 0)
+        got = full_spectrum(L).eigenvalues
+        assert np.max(np.abs(got - np.linalg.eigvalsh(L.matrix))) <= 1e-12
+
+    def test_reads_the_upper_triangle(self):
+        # the strict lower triangle is never read
+        rng = np.random.default_rng(22)
+        m = rng.normal(size=(9, 9))
+        got = spectra._eigvalsh(np.triu(m) + np.tril(rng.normal(size=(9, 9)), -1))
+        sym = np.triu(m) + np.triu(m, 1).T
+        assert np.max(np.abs(got - np.linalg.eigvalsh(sym))) <= 1e-12
+
+    def test_leaves_the_operator_unchanged(self):
+        # criterion 4 reads the same matrices through trace_bound afterwards
+        L = rgg_laplacian(256, 1)
+        before = L.matrix.tobytes()
+        full_spectrum(L)
+        assert L.matrix.tobytes() == before
+
+    def test_two_stage_route_runs_when_exported(self, monkeypatch):
+        real = spectra._openblas(*spectra._DSYEVD_2STAGE)
+        if real is None:
+            pytest.skip("the loaded BLAS exports no dsyevd_2stage")
+        assert spectra._solver_provenance()["eigensolver"] == "dsyevd_2stage"
+        calls = []
+
+        def spy(*args):
+            calls.append(args[7]._obj.value)  # lwork
+            return real(*args)
+
+        monkeypatch.setattr(spectra, "_openblas", lambda *declaration: spy)
+        full_spectrum(rgg_laplacian(64, 0))
+        # the workspace query, then the solve
+        assert len(calls) == 2 and calls[0] == -1 and calls[1] >= 1
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        def failing(*args):
+            args[10]._obj.value = 3  # info
+
+        monkeypatch.setattr(spectra, "_openblas", lambda *declaration: failing)
+        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+            full_spectrum(rgg_laplacian(64, 0))
+
+    def test_falls_back_to_eigvalsh_without_the_symbol(self, monkeypatch):
+        L = rgg_laplacian(512, 2)
+        monkeypatch.setattr(spectra, "_openblas", lambda *declaration: None)
+        got = full_spectrum(L).eigenvalues
+        assert got.tobytes() == np.linalg.eigvalsh(L.matrix).tobytes()
+        assert spectra._solver_provenance() == {"blas_threads": None,
+                                                "eigensolver": "eigvalsh"}
+
+
+class TestSolveSpan:
+    """Every dense solve runs inside spectra.full_spectrum, once per solve.
+
+    The benchmark's per-layer eigensolve metrics time that function.
+    """
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = {"spans": 0, "solves": 0, "inside": 0}
+        full, solve = spectra.full_spectrum, spectra._eigvalsh
+
+        def span(L):
+            calls["spans"] += 1
+            calls["inside"] += 1
+            try:
+                return full(L)
+            finally:
+                calls["inside"] -= 1
+
+        def counted_solve(a):
+            assert calls["inside"] == 1, "solve outside full_spectrum"
+            calls["solves"] += 1
+            return solve(a)
+
+        monkeypatch.setattr(spectra, "full_spectrum", span)
+        monkeypatch.setattr(spectra, "_eigvalsh", counted_solve)
+        return calls
+
+    def test_spectrum_of_graph_solves_once(self, spy):
+        spectrum_of_graph(build_dgg(64, 1, 0.03), 0.1)
+        assert spy == {"spans": 1, "solves": 1, "inside": 0}
+
+    def test_convergence_study_solves_once_per_trial(self, spy):
+        rows = convergence_study(1, 4.0, 0.1, MetricSpec(INF), [64, 128],
+                                 [0, 1, 2])
+        assert len(rows) == 6
+        assert spy == {"spans": 6, "solves": 6, "inside": 0}
 
 
 class TestLevyDistance:

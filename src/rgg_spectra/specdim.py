@@ -4,12 +4,14 @@ Three routes to d_s, designed to cross-validate each other:
 
 * cdf_slope: 2x the log-log slope of the ESD near zero,
 * heat_trace: -2x the log-log slope of P0(t) = (1/n) sum_i exp(-lambda_i t)
-  after subtracting the finite-size stationary plateau,
+  after subtracting the finite-size stationary plateau; P0 is summed one
+  time at a time, so a trace needs O(n) memory for any number of times,
 * monte_carlo: the same decay read off simulated random-walk return
   frequencies on the unregularized grid graph.
 
-All fits are plain least squares of log against log over an explicit
-window; the windows and r-squared gates are the module constants below.
+All three fit by one body, plain least squares of log against log over an
+explicit window; the windows and r-squared gates are the module constants
+below.
 """
 
 from __future__ import annotations
@@ -91,7 +93,16 @@ def theoretical_ds(d: int) -> float:
     return float(d)
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _fit(method: str, x: np.ndarray, y: np.ndarray, scale: float,
+         min_points: int, points: str, gate: float) -> SpecDimEstimate:
+    """Least-squares fit of log y against log x, with d_s = scale * slope.
+
+    Needs at least min_points points and an r-squared of at least gate; a
+    NaN fit fails the gate.  The window is the first and last x.
+    """
+    if x.size < min_points:
+        raise EstimationError(
+            f"need at least {min_points} {points}, observed {x.size}")
     X = np.log(x)
     Y = np.log(y)
     A = np.vstack([X, np.ones_like(X)]).T
@@ -100,7 +111,13 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     ss_tot = float(np.sum((Y - Y.mean()) ** 2))
     ss_res = float(np.sum(resid ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    if not r2 >= gate:
+        raise EstimationError(
+            f"{method} fit r_squared {r2:.4f} below gate {gate}")
+    slope = float(slope)
+    return SpecDimEstimate(method=method, d_s=scale * slope, slope=slope,
+                           window=(float(x[0]), float(x[-1])), r_squared=r2,
+                           n_points=int(x.size))
 
 
 def estimate_ds_from_spectrum(spec: SpectralDistribution) -> SpecDimEstimate:
@@ -116,30 +133,26 @@ def estimate_ds_from_spectrum(spec: SpectralDistribution) -> SpecDimEstimate:
     k = math.ceil(CDF_WINDOW_FRACTION * spec.n)
     window = positive[:k]
     distinct = np.unique(window)
-    if distinct.size < CDF_MIN_POINTS:
-        raise EstimationError(
-            f"need at least {CDF_MIN_POINTS} distinct nonzero eigenvalues in the "
-            f"fit window, observed {distinct.size}")
     F = esd_cdf(spec, distinct, side="right")
-    slope, _, r2 = _loglog_fit(distinct, F)
-    return SpecDimEstimate(method="cdf_slope", d_s=2.0 * slope, slope=slope,
-                           window=(float(distinct[0]), float(distinct[-1])),
-                           r_squared=r2, n_points=int(distinct.size))
+    return _fit("cdf_slope", distinct, F, 2.0, CDF_MIN_POINTS,
+                "distinct nonzero eigenvalues in the fit window", -math.inf)
+
+
+def _p0(spec: SpectralDistribution, t: float) -> float:
+    """P0(t) = (1/n) sum_i exp(-lambda_i t)."""
+    return float(np.exp(-t * spec.eigenvalues).mean())
+
+
+def _offset(spec: SpectralDistribution) -> float:
+    """The stationary plateau of P0: the fraction of zero eigenvalues."""
+    return float(np.sum(spec.eigenvalues <= ZERO_TOL)) / spec.n
 
 
 def heat_trace(spec: SpectralDistribution, times: np.ndarray) -> HeatTrace:
-    """P0(t) as an exact finite sum over the whole spectrum."""
+    """P0(t) as an exact finite sum over the whole spectrum, one time at a time."""
     times = np.asarray(times, dtype=float)
-    ev = spec.eigenvalues
-    values = np.exp(-np.outer(times, ev)).mean(axis=1)
-    offset = float(np.sum(ev <= ZERO_TOL)) / spec.n
-    return HeatTrace(times=times, values=values, stationary_offset=offset)
-
-
-def _p0_minus_offset(spec: SpectralDistribution, t: float) -> float:
-    ev = spec.eigenvalues
-    offset = float(np.sum(ev <= ZERO_TOL)) / spec.n
-    return float(np.exp(-t * ev).mean()) - offset
+    values = np.array([_p0(spec, t) for t in times.ravel()])
+    return HeatTrace(times=times, values=values, stationary_offset=_offset(spec))
 
 
 def find_heat_horizon(spec: SpectralDistribution,
@@ -149,10 +162,11 @@ def find_heat_horizon(spec: SpectralDistribution,
 
     Raises EstimationError if the signal has not decayed by t = 1e12.
     """
-    if _p0_minus_offset(spec, t_lo) <= HEAT_SIGNAL_THRESHOLD:
+    offset = _offset(spec)
+    if _p0(spec, t_lo) - offset <= HEAT_SIGNAL_THRESHOLD:
         return t_lo
     lo, hi = t_lo, t_lo
-    while _p0_minus_offset(spec, hi) > HEAT_SIGNAL_THRESHOLD:
+    while _p0(spec, hi) - offset > HEAT_SIGNAL_THRESHOLD:
         hi *= 2.0
         if hi > 1e12:
             raise EstimationError(
@@ -160,7 +174,7 @@ def find_heat_horizon(spec: SpectralDistribution,
                 f"t = {hi:.3g}; the spectrum has a negative eigenvalue")
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if _p0_minus_offset(spec, mid) > HEAT_SIGNAL_THRESHOLD:
+        if _p0(spec, mid) - offset > HEAT_SIGNAL_THRESHOLD:
             lo = mid
         else:
             hi = mid
@@ -176,32 +190,14 @@ def default_heat_grid(spec: SpectralDistribution) -> np.ndarray:
     return np.logspace(math.log10(HEAT_T_LO), math.log10(t_hi), HEAT_GRID_POINTS)
 
 
-def estimate_ds_from_heat_trace(
-        ht: HeatTrace, window: tuple[float, float] | None = None) -> SpecDimEstimate:
-    """d_s = -2x the slope of log(P0(t) - offset) vs log t over the window."""
-    t = ht.times
-    if window is None:
-        window = (float(t[0]), float(t[-1]))
-    lo, hi = window
-    mask = (t >= lo) & (t <= hi)
-    if not np.any(mask):
-        raise EstimationError(f"window [{lo}, {hi}] contains no grid times")
-    signal = ht.values[mask] - ht.stationary_offset
-    eps = np.finfo(float).eps
-    if np.any(signal <= 10.0 * eps):
+def estimate_ds_from_heat_trace(ht: HeatTrace) -> SpecDimEstimate:
+    """d_s = -2x the slope of log(P0(t) - offset) vs log t over all grid times."""
+    signal = ht.values - ht.stationary_offset
+    if np.any(signal <= 10.0 * np.finfo(float).eps):
         raise EstimationError(
             "heat-trace signal underflows the stationary offset inside the window")
-    if signal.size < 5:
-        raise EstimationError(
-            f"need at least 5 grid times in the window, observed {signal.size}")
-    slope, _, r2 = _loglog_fit(t[mask], signal)
-    if not r2 >= HEAT_R2_GATE:  # also rejects a NaN fit
-        raise EstimationError(
-            f"heat-trace fit r_squared {r2:.4f} below gate {HEAT_R2_GATE}; the "
-            "decay is not a power law over this window")
-    return SpecDimEstimate(method="heat_trace", d_s=-2.0 * slope, slope=slope,
-                           window=(float(lo), float(hi)), r_squared=r2,
-                           n_points=int(signal.size))
+    return _fit("heat_trace", ht.times, signal, -2.0, 5,
+                "grid times in the window", HEAT_R2_GATE)
 
 
 def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
@@ -261,9 +257,10 @@ def mc_stderr(freq: np.ndarray, walkers: int) -> np.ndarray:
 def estimate_ds_from_mc(freq: np.ndarray, n: int) -> SpecDimEstimate:
     """d_s from the log-log decay of return frequency minus the 1/n plateau.
 
-    The window runs from MC_T_LO to the last step where the subtracted
-    signal still clears MC_SIGNAL_FLOOR; beyond that the finite-size plateau
-    and sampling noise dominate the slope.
+    The window runs from the first step at or after MC_T_LO with a positive
+    subtracted signal to the last step where that signal still clears
+    MC_SIGNAL_FLOOR; beyond that the finite-size plateau and sampling noise
+    dominate the slope.
     """
     freq = np.asarray(freq, dtype=float)
     t = np.arange(freq.size)
@@ -272,18 +269,9 @@ def estimate_ds_from_mc(freq: np.ndarray, n: int) -> SpecDimEstimate:
     if candidates.size == 0:
         raise EstimationError(
             f"no steps at t >= {MC_T_LO} with signal >= {MC_SIGNAL_FLOOR}")
-    t_hi = int(t[candidates[-1]])
-    mask = (t >= MC_T_LO) & (t <= t_hi) & (signal > 0)
-    if int(mask.sum()) < 5:
-        raise EstimationError(
-            f"need at least 5 usable steps in the window, observed {int(mask.sum())}")
-    slope, _, r2 = _loglog_fit(t[mask].astype(float), signal[mask])
-    if not r2 >= MC_R2_GATE:  # also rejects a NaN fit
-        raise EstimationError(
-            f"return-frequency fit r_squared {r2:.4f} below gate {MC_R2_GATE}")
-    return SpecDimEstimate(method="monte_carlo", d_s=-2.0 * slope, slope=slope,
-                           window=(float(MC_T_LO), float(t_hi)), r_squared=r2,
-                           n_points=int(mask.sum()))
+    mask = (t >= MC_T_LO) & (t <= t[candidates[-1]]) & (signal > 0)
+    return _fit("monte_carlo", t[mask].astype(float), signal[mask], -2.0, 5,
+                "usable steps in the window", MC_R2_GATE)
 
 
 def shift_spectrum(spec: SpectralDistribution, gap: float) -> SpectralDistribution:

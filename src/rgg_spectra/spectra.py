@@ -78,26 +78,16 @@ def _check_dense_cap(n: int) -> None:
 
 @functools.cache
 def _openblas(symbol: str, restype, *argtypes):
-    """`symbol` from a loaded OpenBLAS library, declared; None if none has it.
+    """`symbol` from numpy's OpenBLAS, declared; None if it has no such export.
 
     numpy's wheels bundle an ILP64 OpenBLAS whose LAPACK names carry a
-    `scipy_` prefix and a `64_` suffix; the loaded copy is found by its path
-    in /proc/self/maps.
+    `scipy_` prefix and a `64_` suffix.  It is a dependency of numpy's
+    linalg extension, and dlsym on the extension's handle searches it too.
     """
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(libs):
-        try:
-            fn = getattr(ctypes.CDLL(path), symbol, None)
-        except OSError:
-            continue
-        if fn is not None:
-            fn.restype, fn.argtypes = restype, argtypes
-            return fn
-    return None
+    fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), symbol, None)
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, argtypes
+    return fn
 
 
 def _solver_provenance() -> dict:
@@ -119,7 +109,7 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     buffer as its transpose, so uplo "L", whose band reduction is the faster
     one, reads the upper triangle; eigvalsh reads the lower.  The assembled
     operators are bitwise symmetric, so both read the same values.  Falls
-    back to eigvalsh when no loaded OpenBLAS exports the routine.
+    back to eigvalsh when numpy's OpenBLAS does not export the routine.
     """
     solve = _openblas(*_DSYEVD_2STAGE)
     if solve is None:
@@ -241,18 +231,21 @@ def convergence_study(d: int, gamma: float, alpha: float,
     dgg_degree(gamma, d) on the same n.  The grid side is the closed form
     (analytic_spectrum), which equals the grid graph's dense spectrum to
     rounding; it raises what the dense route would, including the dense
-    cap on n.  Trials draw from independent streams keyed by (seed, n).
+    cap on n.  Every size is checked before the first trial runs.  Trials
+    draw from independent streams keyed by (seed, n).
     """
     gp = dgg_degree(gamma, d)
     # raises the dense route's alpha errors before any trial runs
     thr = lemma2_threshold(gamma, gp, alpha)
-    rows = []
+    sizes = []
     for n in n_list:
         N = grid_side(n, d)
         _check_dense_cap(n)
         sd_dgg = SpectralDistribution.from_values(
             analytic_spectrum(N, gp, alpha, d))
-        radius = radius_for_gamma(gamma, n, d, metric)
+        sizes.append((n, sd_dgg, radius_for_gamma(gamma, n, d, metric)))
+    rows = []
+    for n, sd_dgg, radius in sizes:
         for seed in seeds:
             pts = sample_uniform_points(n, d, [seed, n])
             g = build_rgg(pts, radius, metric)

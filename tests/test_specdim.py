@@ -1,5 +1,8 @@
 """Spectral-dimension estimators: CDF slope, heat trace, random walks."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from rgg_spectra import (
     heat_trace,
     mc_return_probability,
     mc_stderr,
+    regularizer_gap,
     sample_uniform_points,
     shift_spectrum,
     specdim,
@@ -26,7 +30,30 @@ from rgg_spectra import (
     theoretical_cdf,
     theoretical_ds,
 )
-from rgg_spectra.specdim import _MC_BLOCK, MC_BATCH
+from rgg_spectra.specdim import (
+    _MC_BLOCK,
+    CDF_MIN_POINTS,
+    CDF_WINDOW_FRACTION,
+    HEAT_R2_GATE,
+    MC_BATCH,
+    MC_R2_GATE,
+    MC_SIGNAL_FLOOR,
+    MC_T_LO,
+    SpecDimEstimate,
+    ZERO_TOL,
+)
+
+
+def shifted_grid_spectrum(d, N, gp, alpha=0.1):
+    """The closed-form grid spectrum minus the regularizer gap, as specdim runs it."""
+    spec = SpectralDistribution.from_values(analytic_spectrum(N, gp, alpha, d))
+    return shift_spectrum(spec, regularizer_gap(gp, alpha))
+
+
+# the spectra behind the criterion-6 goldens
+CRITERION_6_SPECTRA = [shifted_grid_spectrum(1, 4096, 16),
+                       shifted_grid_spectrum(2, 64, 8)]
+CRITERION_6_IDS = ["d1", "d2"]
 
 
 def power_law_spectrum(n, d):
@@ -113,6 +140,33 @@ class TestHeatTrace:
             HeatTrace(times=np.array([1.0, 1.0]), values=np.array([0.5, 0.5]),
                       stationary_offset=0.0)
 
+    def test_times_must_be_one_dimensional(self):
+        sd = SpectralDistribution.from_values([0.0, 2.0])
+        with pytest.raises(ValueError, match="1-d"):
+            heat_trace(sd, np.float64(1.0))
+        with pytest.raises(ValueError, match="1-d"):
+            heat_trace(sd, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("spec", [
+        *CRITERION_6_SPECTRA,
+        SpectralDistribution.from_values(analytic_spectrum(512, 4, 0.0, 1)),
+    ], ids=[*CRITERION_6_IDS, "d1_unshifted"])
+    def test_equals_the_outer_product_sum(self, spec):
+        times = default_heat_grid(spec)
+        expect = np.exp(-np.outer(times, spec.eigenvalues)).mean(axis=1)
+        assert np.array_equal(heat_trace(spec, times).values, expect)
+
+    def test_memory_is_linear_in_n(self):
+        spec = shifted_grid_spectrum(2, 256, 8)
+        times = default_heat_grid(spec)
+        tracemalloc.start()
+        try:
+            heat_trace(spec, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * spec.n
+
 
 class TestHeatHorizon:
     def test_horizon_hits_threshold(self):
@@ -173,11 +227,11 @@ class TestHeatEstimator:
             with pytest.raises(EstimationError, match="r_squared nan"):
                 estimate_ds_from_heat_trace(ht)
 
-    def test_empty_window_rejected(self):
-        t = np.logspace(1, 2, 20)
-        ht = HeatTrace(times=t, values=1.0 / t, stationary_offset=0.0)
-        with pytest.raises(EstimationError, match="no grid times"):
-            estimate_ds_from_heat_trace(ht, window=(500.0, 600.0))
+    def test_empty_trace_rejected(self):
+        ht = HeatTrace(times=np.array([]), values=np.array([]),
+                       stationary_offset=0.0)
+        with pytest.raises(EstimationError, match="at least 5"):
+            estimate_ds_from_heat_trace(ht)
 
     def test_underflowed_signal_rejected(self):
         t = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
@@ -349,3 +403,65 @@ class TestCrossMethodAgreement:
         assert cdf.d_s == pytest.approx(0.9305518997760871, abs=1e-9)
         assert heat.d_s == pytest.approx(1.2184955790542973, abs=1e-9)
         assert mc.d_s == pytest.approx(1.0731343308759171, abs=1e-9)
+
+
+def reference_fit(x, y):
+    """The least-squares log-log fit and its r-squared, written out apart from specdim."""
+    X, Y = np.log(x), np.log(y)
+    (slope, intercept), *_ = np.linalg.lstsq(
+        np.vstack([X, np.ones_like(X)]).T, Y, rcond=None)
+    ss_tot = float(np.sum((Y - Y.mean()) ** 2))
+    ss_res = float(np.sum((Y - (slope * X + intercept)) ** 2))
+    return float(slope), 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
+def reference_cdf_estimate(spec):
+    ev = spec.eigenvalues
+    k = math.ceil(CDF_WINDOW_FRACTION * spec.n)
+    distinct = np.unique(ev[ev > ZERO_TOL][:k])
+    assert distinct.size >= CDF_MIN_POINTS
+    slope, r2 = reference_fit(
+        distinct, np.searchsorted(ev, distinct, side="right") / spec.n)
+    return SpecDimEstimate("cdf_slope", 2.0 * slope, slope,
+                           (float(distinct[0]), float(distinct[-1])), r2,
+                           int(distinct.size))
+
+
+def reference_heat_estimate(spec):
+    t = default_heat_grid(spec)
+    ev = spec.eigenvalues
+    signal = (np.exp(-np.outer(t, ev)).mean(axis=1)
+              - float(np.sum(ev <= ZERO_TOL)) / spec.n)
+    slope, r2 = reference_fit(t, signal)
+    assert r2 >= HEAT_R2_GATE
+    return SpecDimEstimate("heat_trace", -2.0 * slope, slope,
+                           (float(t[0]), float(t[-1])), r2, int(t.size))
+
+
+def reference_mc_estimate(freq, n):
+    t = np.arange(freq.size)
+    signal = freq - 1.0 / n
+    t_hi = int(t[(t >= MC_T_LO) & (signal >= MC_SIGNAL_FLOOR)][-1])
+    mask = (t >= MC_T_LO) & (t <= t_hi) & (signal > 0)
+    slope, r2 = reference_fit(t[mask].astype(float), signal[mask])
+    assert r2 >= MC_R2_GATE
+    return SpecDimEstimate("monte_carlo", -2.0 * slope, slope,
+                           (float(MC_T_LO), float(t_hi)), r2, int(mask.sum()))
+
+
+class TestEstimatesUnchanged:
+    """Each estimator equals, field for field, its formula written out in full."""
+
+    @pytest.mark.parametrize("spec", CRITERION_6_SPECTRA, ids=CRITERION_6_IDS)
+    def test_cdf_slope(self, spec):
+        assert estimate_ds_from_spectrum(spec) == reference_cdf_estimate(spec)
+
+    @pytest.mark.parametrize("spec", CRITERION_6_SPECTRA, ids=CRITERION_6_IDS)
+    def test_heat_trace(self, spec):
+        got = estimate_ds_from_heat_trace(heat_trace(spec, default_heat_grid(spec)))
+        assert got == reference_heat_estimate(spec)
+
+    def test_monte_carlo(self):
+        g = build_dgg(1024, 1, dgg_radius(8, 1024))
+        freq = mc_return_probability(g, 128, 20000, 0)
+        assert estimate_ds_from_mc(freq, 1024) == reference_mc_estimate(freq, 1024)

@@ -387,6 +387,19 @@ class TestConvergenceStudy:
         with pytest.raises(CapacityError):
             convergence_study(1, 4.0, 0.1, MetricSpec(INF), [DENSE_CAP + 1], [0])
 
+    @pytest.mark.parametrize("d,n_list,error", [
+        (1, [1024, 9000], CapacityError),  # 9000 is above the dense cap
+        (2, [1024, 1000], ValueError),  # 1000 is not a square
+    ])
+    def test_every_size_checked_before_any_trial(self, monkeypatch, d, n_list,
+                                                 error):
+        built = []
+        monkeypatch.setattr(spectra, "build_rgg",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(error):
+            convergence_study(d, 16.0, 0.1, MetricSpec(), n_list, [0, 1])
+        assert built == []
+
     def test_rows_and_determinism(self):
         rows = convergence_study(1, 4.0, 0.1, MetricSpec(INF),
                                  n_list=[64, 128], seeds=[0, 1])

@@ -138,9 +138,10 @@ def estimate_ds_from_spectrum(spec: SpectralDistribution) -> SpecDimEstimate:
                 "distinct nonzero eigenvalues in the fit window", -math.inf)
 
 
-def _p0(spec: SpectralDistribution, t: float) -> float:
-    """P0(t) = (1/n) sum_i exp(-lambda_i t)."""
-    return float(np.exp(-t * spec.eigenvalues).mean())
+def _p0(spec: SpectralDistribution, t: float, buf: np.ndarray) -> float:
+    """P0(t) = (1/n) sum_i exp(-lambda_i t), in the caller's reused n-vector buf."""
+    np.multiply(spec.eigenvalues, -t, out=buf)
+    return float(np.exp(buf, out=buf).mean())
 
 
 def _offset(spec: SpectralDistribution) -> float:
@@ -151,7 +152,8 @@ def _offset(spec: SpectralDistribution) -> float:
 def heat_trace(spec: SpectralDistribution, times: np.ndarray) -> HeatTrace:
     """P0(t) as an exact finite sum over the whole spectrum, one time at a time."""
     times = np.asarray(times, dtype=float)
-    values = np.array([_p0(spec, t) for t in times.ravel()])
+    buf = np.empty(spec.n)
+    values = np.array([_p0(spec, t, buf) for t in times.ravel()])
     return HeatTrace(times=times, values=values, stationary_offset=_offset(spec))
 
 
@@ -162,11 +164,11 @@ def find_heat_horizon(spec: SpectralDistribution,
 
     Raises EstimationError if the signal has not decayed by t = 1e12.
     """
-    offset = _offset(spec)
-    if _p0(spec, t_lo) - offset <= HEAT_SIGNAL_THRESHOLD:
+    offset, buf = _offset(spec), np.empty(spec.n)
+    if _p0(spec, t_lo, buf) - offset <= HEAT_SIGNAL_THRESHOLD:
         return t_lo
     lo, hi = t_lo, t_lo
-    while _p0(spec, hi) - offset > HEAT_SIGNAL_THRESHOLD:
+    while _p0(spec, hi, buf) - offset > HEAT_SIGNAL_THRESHOLD:
         hi *= 2.0
         if hi > 1e12:
             raise EstimationError(
@@ -174,7 +176,7 @@ def find_heat_horizon(spec: SpectralDistribution,
                 f"t = {hi:.3g}; the spectrum has a negative eigenvalue")
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if _p0(spec, mid) - offset > HEAT_SIGNAL_THRESHOLD:
+        if _p0(spec, mid, buf) - offset > HEAT_SIGNAL_THRESHOLD:
             lo = mid
         else:
             hi = mid

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.metadata
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,8 @@ DENSE_CAP = 8192  # largest order we will hand to the dense eigensolver
 
 # exports of numpy's bundled OpenBLAS as (symbol, restype, *argtypes): the
 # two-stage, eigenvalues-only LAPACK solver, whose trailing size_t arguments
-# are the Fortran lengths of jobz and uplo, and the thread-count getter
+# are the Fortran lengths of jobz and uplo, and the thread-count and
+# build-configuration getters
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _DSYEVD_2STAGE = (
     "scipy_dsyevd_2stage_64_", None,
@@ -34,6 +36,7 @@ _DSYEVD_2STAGE = (
     ctypes.c_void_p, ctypes.c_void_p, _I64P, ctypes.c_void_p, _I64P, _I64P,
     ctypes.c_size_t, ctypes.c_size_t)
 _GET_NUM_THREADS = ("scipy_openblas_get_num_threads64_", ctypes.c_int)
+_GET_CONFIG = ("scipy_openblas_get_config64_", ctypes.c_char_p)
 
 
 @dataclass(frozen=True)
@@ -91,30 +94,35 @@ def _openblas(symbol: str, restype, *argtypes):
 
 
 def _solver_provenance() -> dict:
-    """The dense eigensolver route and the BLAS thread count in effect.
+    """The dense eigensolver route, BLAS build and threads, numpy and scipy.
 
-    The count is read back from OpenBLAS, since a thread pin set after
-    numpy has loaded does not take effect; None if no getter is found.
+    The thread count is read back from OpenBLAS, since a pin set after numpy
+    has loaded does not take effect; BLAS values are None without a getter.
     """
-    get = _openblas(*_GET_NUM_THREADS)
-    return {"blas_threads": None if get is None else get(),
+    get, config = _openblas(*_GET_NUM_THREADS), _openblas(*_GET_CONFIG)
+    return {"blas_config": None if config is None else config().decode(),
+            "blas_threads": None if get is None else get(),
             "eigensolver": "dsyevd_2stage" if _openblas(*_DSYEVD_2STAGE)
-            else "eigvalsh"}
+            else "eigvalsh",
+            "numpy_version": np.__version__,
+            "scipy_version": importlib.metadata.version("scipy")}
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
+def _eigvalsh(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Ascending eigenvalues of symmetric a by LAPACK's two-stage dsyevd_2stage.
 
-    Solves a copy, so a is left as it was.  LAPACK reads the C-ordered
-    buffer as its transpose, so uplo "L", whose band reduction is the faster
-    one, reads the upper triangle; eigvalsh reads the lower.  The assembled
-    operators are bitwise symmetric, so both read the same values.  Falls
-    back to eigvalsh when numpy's OpenBLAS does not export the routine.
+    Solves a copy, so a is left as it was; with overwrite, a C-ordered,
+    writeable float64 a is solved in place and destroyed.  LAPACK reads the
+    C-ordered buffer as its transpose, so uplo "L", whose band reduction is
+    the faster one, reads the upper triangle; eigvalsh reads the lower.  The
+    assembled operators are bitwise symmetric, so both read the same values.
+    Falls back to eigvalsh when numpy's OpenBLAS does not export the routine.
     """
     solve = _openblas(*_DSYEVD_2STAGE)
     if solve is None:
         return np.linalg.eigvalsh(a)
-    buf = np.array(a, dtype=np.float64, order="C")
+    buf = (np.require(a, np.float64, "CW") if overwrite
+           else np.array(a, dtype=np.float64, order="C"))
     n = buf.shape[0]
     if buf.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {buf.shape}")
@@ -138,20 +146,25 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def full_spectrum(L: RegNormLaplacian) -> SpectralDistribution:
-    """Dense symmetric eigensolve of the whole operator."""
+def full_spectrum(L: RegNormLaplacian, *,
+                  overwrite: bool = False) -> SpectralDistribution:
+    """Dense symmetric eigensolve of the whole operator.
+
+    overwrite solves L.matrix in place and destroys it, saving one n x n
+    copy; only an owner of L that never reads it again may set it.
+    """
     _check_dense_cap(L.n)
-    return SpectralDistribution.from_values(_eigvalsh(L.matrix))
+    return SpectralDistribution.from_values(_eigvalsh(L.matrix, overwrite))
 
 
 def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
-    """Assemble the regularized Laplacian of g and eigensolve it."""
+    """Assemble the regularized Laplacian of g and eigensolve it in place."""
     _check_dense_cap(g.n)
     if g.kind == "dgg":
         L = assemble_dgg_laplacian(g, alpha)
     else:
         L = assemble_rgg_laplacian(g, alpha)
-    return full_spectrum(L)
+    return full_spectrum(L, overwrite=True)
 
 
 def _rotated_cdf(e: np.ndarray, lo: float, hi: float):
@@ -192,7 +205,7 @@ def trace_bound(a: RegNormLaplacian, b: RegNormLaplacian) -> float:
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
     diff = a.matrix - b.matrix
-    return float(np.sum(diff * diff)) / a.n
+    return float(np.sum(np.multiply(diff, diff, out=diff))) / a.n
 
 
 def lemma2_threshold(gamma: float, gamma_prime: float, alpha: float) -> float:

@@ -319,8 +319,10 @@ class TestManifest:
         main(["analytic-spectrum", "--d", "1", "--N", "16", "--gamma-prime", "4",
               "--out", str(out)])
         m = read_manifest(out)
-        assert set(m) == {"blas_threads", "command", "config", "eigensolver",
-                          "outputs", "prng", "version", "wall_seconds"}
+        assert set(m) == {"blas_config", "blas_threads", "command", "config",
+                          "eigensolver", "numpy_version", "outputs", "prng",
+                          "scipy_version", "version", "wall_seconds"}
+        assert m["numpy_version"] == np.__version__
         assert m["command"] == "analytic-spectrum"
         assert m["prng"] == "PCG64"
         assert m["version"] == rgg_spectra.__version__

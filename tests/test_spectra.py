@@ -1,5 +1,7 @@
 """Dense spectra, empirical CDFs, Levy distance, and the trace-bound inequality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,11 +94,14 @@ class TestDenseSpectra:
             spectrum_of_graph(g, 0.1)
 
 
-def rgg_laplacian(n, seed):
+def rgg(n, seed):
     metric = MetricSpec(INF)
-    g = build_rgg(sample_uniform_points(n, 1, [seed, n]),
-                  radius_for_gamma(16.0, n, 1, metric), metric)
-    return assemble_rgg_laplacian(g, 0.1)
+    return build_rgg(sample_uniform_points(n, 1, [seed, n]),
+                     radius_for_gamma(16.0, n, 1, metric), metric)
+
+
+def rgg_laplacian(n, seed):
+    return assemble_rgg_laplacian(rgg(n, seed), 0.1)
 
 
 class TestDenseSolver:
@@ -159,8 +164,11 @@ class TestDenseSolver:
         monkeypatch.setattr(spectra, "_openblas", lambda *declaration: None)
         got = full_spectrum(L).eigenvalues
         assert got.tobytes() == np.linalg.eigvalsh(L.matrix).tobytes()
-        assert spectra._solver_provenance() == {"blas_threads": None,
-                                                "eigensolver": "eigvalsh"}
+        prov = spectra._solver_provenance()
+        assert prov == {"blas_config": None, "blas_threads": None,
+                        "eigensolver": "eigvalsh",
+                        "numpy_version": np.__version__,
+                        "scipy_version": prov["scipy_version"]}
 
 
 class TestSolveSpan:
@@ -174,18 +182,18 @@ class TestSolveSpan:
         calls = {"spans": 0, "solves": 0, "inside": 0}
         full, solve = spectra.full_spectrum, spectra._eigvalsh
 
-        def span(L):
+        def span(L, **kw):
             calls["spans"] += 1
             calls["inside"] += 1
             try:
-                return full(L)
+                return full(L, **kw)
             finally:
                 calls["inside"] -= 1
 
-        def counted_solve(a):
+        def counted_solve(a, *args):
             assert calls["inside"] == 1, "solve outside full_spectrum"
             calls["solves"] += 1
-            return solve(a)
+            return solve(a, *args)
 
         monkeypatch.setattr(spectra, "full_spectrum", span)
         monkeypatch.setattr(spectra, "_eigvalsh", counted_solve)
@@ -200,6 +208,36 @@ class TestSolveSpan:
                                  [0, 1, 2])
         assert len(rows) == 6
         assert spy == {"spans": 6, "solves": 6, "inside": 0}
+
+
+class TestInPlaceSolve:
+    """spectrum_of_graph solves the operator it assembled, with no copy."""
+
+    def test_peak_memory_is_about_one_matrix(self):
+        # assembly peaks near 1.5 matrices; a copy for the solve adds one
+        n = 1024
+        g = rgg(n, 3)
+        tracemalloc.start()
+        try:
+            spectrum_of_graph(g, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 8 * n * n
+
+    @pytest.mark.parametrize("kind", ["rgg", "dgg"])
+    def test_bitwise_equal_to_solving_a_copy(self, kind):
+        g = rgg(512, 4) if kind == "rgg" else build_dgg(512, 1, 0.01)
+        L = assemble_rgg_laplacian(g, 0.1)
+        got = spectrum_of_graph(g, 0.1).eigenvalues
+        assert got.tobytes() == full_spectrum(L).eigenvalues.tobytes()
+
+    def test_fallback_solves_the_assembly(self, monkeypatch):
+        g = rgg(512, 5)
+        L = assemble_rgg_laplacian(g, 0.1)
+        monkeypatch.setattr(spectra, "_openblas", lambda *declaration: None)
+        got = spectrum_of_graph(g, 0.1).eigenvalues
+        assert got.tobytes() == np.linalg.eigvalsh(L.matrix).tobytes()
 
 
 class TestLevyDistance:

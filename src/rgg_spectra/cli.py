@@ -49,13 +49,6 @@ _BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 # ---------------------------------------------------------------------------
 # small parsing helpers
 
-def _parse_p(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(text)
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -119,7 +112,7 @@ _GRID = {
     "alpha": Opt(float, 0.1, "regularizer weight"),
 }
 
-_METRIC_P = Opt(_parse_p, math.inf, "torus metric exponent; inf for Chebyshev")
+_METRIC_P = Opt(float, math.inf, "torus metric exponent; inf for Chebyshev")
 
 _WALK = {
     "seed": Opt(int, 0, "PRNG seed"),

@@ -9,7 +9,6 @@ sum_k delta_k^p with radius^p, so a pair exactly at the radius connects.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,29 +104,23 @@ def build_dgg(n: int, d: int, radius: float,
     """Geometric graph on the N^d lattice, N = n^(1/d).
 
     Vertex-transitive: every node sees the same offset stencil.  Under the
-    Chebyshev metric each degree equals (2*floor(N*radius)+1)^d - 1.  An
-    offset connects by the k-d tree's rule in build_rgg, sum delta^p <=
-    radius^p, so ties at exactly the radius connect for every p.
+    Chebyshev metric each degree equals (2k+1)^d - 1, where k is the largest
+    integer with k/N <= radius.  An offset connects by the k-d tree's rule
+    in build_rgg, sum delta^p <= radius^p, so ties at exactly the radius
+    connect for every p.
     """
     if not (0.0 < radius < MAX_RADIUS):
         raise ValueError(f"radius must lie in (0, 0.5), got {radius}")
     N = grid_side(n, d)
-    K = int(N * radius)  # radius < 0.5 guarantees 2K+1 <= N
-    offsets = []
-    for off in itertools.product(range(-K, K + 1), repeat=d):
-        if all(c == 0 for c in off):
-            continue
-        delta = np.abs(np.array(off, dtype=float)) / N
-        delta = np.minimum(delta, 1.0 - delta)
-        if metric.p == INF:
-            within = delta.max() <= radius
-        else:
-            within = (delta ** metric.p).sum() <= radius ** metric.p
-        if within:
-            offsets.append(off)
-    offsets = np.array(offsets, dtype=np.int64).reshape(-1, d)
-
     coords = np.indices((N,) * d).reshape(d, -1).T  # row-major lattice order
+    # every lattice vector is a candidate offset, wrapped exactly in integers
+    delta = np.minimum(coords, N - coords) / N
+    if metric.p == INF:
+        within = delta.max(axis=1) <= radius
+    else:
+        within = (delta ** metric.p).sum(axis=1) <= radius ** metric.p
+    within[0] = False  # the zero offset
+    offsets = coords[within]
     strides = N ** np.arange(d - 1, -1, -1, dtype=np.int64)
     neighbor_ids = ((coords[:, None, :] + offsets[None, :, :]) % N) @ strides
     indices = np.sort(neighbor_ids, axis=1).ravel()

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import taylor_lambda
 from .errors import EstimationError
 from .graphs import GeometricGraph
 from .spectra import SpectralDistribution, esd_cdf
@@ -78,11 +79,9 @@ class HeatTrace:
 
 
 def theoretical_cdf(x, gamma_prime: float, alpha: float, d: int):
-    """Small-eigenvalue CDF 6^(d/2) (gamma'+alpha)^(d/2) pi^-d (1+gamma')^(-(2+d)/2) x^(d/2)."""
-    x = np.asarray(x, dtype=float)
-    pref = 6.0 ** (d / 2.0) * (gamma_prime + alpha) ** (d / 2.0) \
-        * np.pi ** (-float(d)) * (1.0 + gamma_prime) ** (-(2.0 + d) / 2.0)
-    val = pref * x ** (d / 2.0)
+    """Small-eigenvalue CDF, the inverse of taylor_lambda: (x / taylor_lambda(1))^(d/2)."""
+    val = (np.asarray(x, dtype=float)
+           / taylor_lambda(1.0, gamma_prime, alpha, d)) ** (d / 2.0)
     return float(val) if val.ndim == 0 else val
 
 

@@ -112,7 +112,8 @@ def _eigvalsh(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Ascending eigenvalues of symmetric a by LAPACK's two-stage dsyevd_2stage.
 
     Solves a copy, so a is left as it was; with overwrite, a C-ordered,
-    writeable float64 a is solved in place and destroyed.  LAPACK reads the
+    writeable float64 a is solved in place and destroyed.  The eigvalsh
+    fallback ignores overwrite and always solves a copy.  LAPACK reads the
     C-ordered buffer as its transpose, so uplo "L", whose band reduction is
     the faster one, reads the upper triangle; eigvalsh reads the lower.  The
     assembled operators are bitwise symmetric, so both read the same values.
@@ -151,14 +152,16 @@ def full_spectrum(L: RegNormLaplacian, *,
     """Dense symmetric eigensolve of the whole operator.
 
     overwrite solves L.matrix in place and destroys it, saving one n x n
-    copy; only an owner of L that never reads it again may set it.
+    copy on the dsyevd_2stage route (the eigvalsh fallback still copies);
+    only an owner of L that never reads it again may set it.
     """
     _check_dense_cap(L.n)
     return SpectralDistribution.from_values(_eigvalsh(L.matrix, overwrite))
 
 
 def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
-    """Assemble the regularized Laplacian of g and eigensolve it in place."""
+    """Assemble the regularized Laplacian of g and eigensolve it, in place
+    on the dsyevd_2stage route (the eigvalsh fallback solves a copy)."""
     _check_dense_cap(g.n)
     if g.kind == "dgg":
         L = assemble_dgg_laplacian(g, alpha)
@@ -245,8 +248,12 @@ def convergence_study(d: int, gamma: float, alpha: float,
     (analytic_spectrum), which equals the grid graph's dense spectrum to
     rounding; it raises what the dense route would, including the dense
     cap on n.  Every size is checked before the first trial runs.  Trials
-    draw from independent streams keyed by (seed, n).
+    draw from independent streams keyed by (seed, n); a repeated size or
+    seed is a ValueError.
     """
+    for name, values in (("size", n_list), ("seed", seeds)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"repeated {name} in {list(values)}")
     gp = dgg_degree(gamma, d)
     # raises the dense route's alpha errors before any trial runs
     thr = lemma2_threshold(gamma, gp, alpha)

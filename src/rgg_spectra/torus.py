@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,6 @@ MAX_RADIUS = 0.5
 _CSV_CHUNK = 1 << 16  # rows formatted per write in _write_csv
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (p >= 1.0):
-        raise ValueError(f"lp exponent must satisfy p >= 1, got {p}")
-    return p
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """The lp metric used for distances; p = math.inf selects Chebyshev."""
@@ -38,7 +32,10 @@ class MetricSpec:
     p: float = INF
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_p(self.p))
+        p = float(self.p)
+        if not (p >= 1.0):
+            raise ValueError(f"lp exponent must satisfy p >= 1, got {p}")
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
@@ -64,19 +61,14 @@ class TorusPointSet:
         return self.points.shape[0]
 
 
-def wrapped_deltas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-coordinate torus differences min(|dx|, 1 - |dx|)."""
-    delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    return np.minimum(delta, 1.0 - delta)
-
-
 def torus_distance(a, b, metric: MetricSpec = MetricSpec()) -> float:
     """lp distance between two points of the unit torus."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    delta = wrapped_deltas(a, b)
+    delta = np.abs(a - b)
+    delta = np.minimum(delta, 1.0 - delta)  # per-axis wrap min(|dx|, 1 - |dx|)
     if metric.p == INF:
         return float(np.max(delta))
     return float(np.sum(delta ** metric.p) ** (1.0 / metric.p))
@@ -85,13 +77,11 @@ def torus_distance(a, b, metric: MetricSpec = MetricSpec()) -> float:
 def ball_volume(radius: float, d: int, metric: MetricSpec = MetricSpec()) -> float:
     """Volume of the lp ball of the given radius in R^d.
 
-    General formula (2r)^d Gamma(1 + 1/p)^d / Gamma(1 + d/p); for p = inf it
-    reduces to (2r)^d, for p = 2 to the usual hypersphere volume.
+    General formula (2r)^d Gamma(1 + 1/p)^d / Gamma(1 + d/p).  At p = inf,
+    Gamma(1) = 1 reduces it to (2r)^d; at p = 2 it is the hypersphere volume.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if metric.p == INF:
-        return (2.0 * radius) ** d
     p = metric.p
     return (2.0 * radius) ** d * math.gamma(1.0 + 1.0 / p) ** d / math.gamma(1.0 + d / p)
 
@@ -128,7 +118,7 @@ def sample_uniform_points(n: int, d: int, seed) -> TorusPointSet:
         raise ValueError("d must be at least 1")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, d))
-    scalar_seed = seed if isinstance(seed, int) else None
+    scalar_seed = int(seed) if isinstance(seed, numbers.Integral) else None
     return TorusPointSet(dim=d, points=pts, seed=scalar_seed)
 
 
@@ -161,9 +151,7 @@ def grid_side(n: int, d: int) -> int:
 def grid_points(n: int, d: int) -> TorusPointSet:
     """The N^d lattice {0, 1/N, ..., (N-1)/N}^d in row-major order."""
     N = grid_side(n, d)
-    axis = np.arange(N) / N
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = np.indices((N,) * d).reshape(d, -1).T / N
     return TorusPointSet(dim=d, points=pts, seed=None)
 
 

@@ -170,6 +170,13 @@ class TestLevyCommand:
         stdout = capsys.readouterr().out
         assert "n=64 trials=2" in stdout and "median_levy=" in stdout
 
+    def test_repeated_size_is_usage_error(self, tmp_path, capsys):
+        code = main(["levy", "--d", "1", "--gamma", "4", "--n-list", "64,64",
+                     "--seeds", "2", "--out", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "repeated size" in captured.err and "trials=" not in captured.out
+
     def test_zero_seeds_is_usage_error(self, tmp_path):
         code = main(["levy", "--seeds", "0", "--n-list", "64",
                      "--out", str(tmp_path / "x")])

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import rgg_spectra
@@ -21,6 +22,20 @@ def load(name, path):
 def test_every_exported_name_resolves():
     for name in rgg_spectra.__all__:
         assert getattr(rgg_spectra, name) is not None, name
+
+
+def test_export_table_lists_every_public_function_and_class():
+    # constants such as INF and DENSE_CAP are left out on both sides
+    def is_api(obj):
+        return inspect.isfunction(obj) or inspect.isclass(obj)
+
+    for module_name, listed in rgg_spectra._EXPORTS.items():
+        module = importlib.import_module(f"rgg_spectra.{module_name}")
+        defined = {name for name, obj in vars(module).items()
+                   if not name.startswith("_") and is_api(obj)
+                   and obj.__module__ == module.__name__}
+        assert defined == {name for name in listed
+                           if is_api(getattr(module, name))}, module_name
 
 
 def test_benchmark_wrapped_functions_resolve():

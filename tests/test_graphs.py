@@ -38,6 +38,25 @@ def brute_force_edges(pts, radius, p):
     return set(zip(ii.tolist(), jj.tolist()))
 
 
+def lattice_scores(N, d, p):
+    """Reference all-pairs scores of the N^d lattice, compared by the rule.
+
+    Each axis wraps in integers, w = min(|i_s - j_s|, N - |i_s - j_s|);
+    the score is sum (w/N)^p, to meet radius^p, or max w/N under
+    Chebyshev, to meet the radius.
+    """
+    coords = np.indices((N,) * d, dtype=np.int16).reshape(d, -1)
+    m = np.abs(coords[:, :, None] - coords[:, None, :])
+    delta = np.minimum(m, N - m) / N
+    return delta.max(axis=0) if p == INF else (delta ** p).sum(axis=0)
+
+
+def dense_adjacency(g):
+    a = np.zeros((g.n, g.n), dtype=bool)
+    a[np.repeat(np.arange(g.n), g.degrees), g.indices] = True
+    return a
+
+
 def edge_set(g):
     return {(int(i), int(j)) for i, j in g.edges()}
 
@@ -212,6 +231,24 @@ class TestBuildDgg:
             dgg = build_dgg(N ** d, d, r, MetricSpec(p))
             rgg = build_rgg(pts, r, MetricSpec(p))
             assert np.array_equal(dgg.edges(), rgg.edges()), f"radius {r}"
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("d,N", [(1, 44), (1, 45), (1, 47), (1, 49),
+                                     (2, 49)])
+    def test_tie_shell_matches_all_pairs_oracle(self, d, N, p):
+        # N * (k/N) can round below k, so no float bound on the stencil
+        # may drop the shell of offsets exactly at the radius k/N
+        score = lattice_scores(N, d, p)
+        for k in range(1, (N + 1) // 2):
+            r = k / N
+            within = score <= (r if p == INF else r ** p)
+            np.fill_diagonal(within, False)
+            g = build_dgg(N ** d, d, r, MetricSpec(p))
+            assert np.array_equal(dense_adjacency(g), within), f"k = {k}"
+
+    def test_tie_shell_degrees(self):
+        assert np.all(build_dgg(49, 1, 1 / 49).degrees == 2)
+        assert np.all(build_dgg(49 ** 2, 2, 2 / 49).degrees == 24)
 
     def test_vertex_transitive_and_consistent(self):
         g = build_dgg(49, 2, 0.22)

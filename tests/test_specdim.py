@@ -9,6 +9,7 @@ import pytest
 from rgg_spectra import (
     EstimationError,
     HeatTrace,
+    SingularityError,
     SpectralDistribution,
     analytic_spectrum,
     build_dgg,
@@ -107,6 +108,10 @@ class TestTheoreticalCdf:
             for w in (1e-6, 1e-4, 1e-2):
                 back = theoretical_cdf(taylor_lambda(w, gp, alpha, d), gp, alpha, d)
                 assert back == pytest.approx(w, rel=1e-9)
+
+    def test_singular_regularizer_rejected(self):
+        with pytest.raises(SingularityError):
+            theoretical_cdf(1e-4, 0, 0.0, 1)
 
     def test_theoretical_ds_is_the_dimension(self):
         assert [theoretical_ds(d) for d in (1, 2, 3)] == [1.0, 2.0, 3.0]

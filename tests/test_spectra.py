@@ -428,6 +428,7 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("d,n_list,error", [
         (1, [1024, 9000], CapacityError),  # 9000 is above the dense cap
         (2, [1024, 1000], ValueError),  # 1000 is not a square
+        (1, [1024, 1024], ValueError),  # a repeated size
     ])
     def test_every_size_checked_before_any_trial(self, monkeypatch, d, n_list,
                                                  error):

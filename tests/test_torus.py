@@ -157,6 +157,14 @@ class TestSampling:
         b = sample_uniform_points(64, 2, 2)
         assert not np.array_equal(a.points, b.points)
 
+    def test_integral_seed_is_recorded(self):
+        ps = sample_uniform_points(10, 1, np.int64(3))
+        assert ps.seed == 3 and type(ps.seed) is int
+        assert np.array_equal(ps.points, sample_uniform_points(10, 1, 3).points)
+        assert sample_uniform_points(10, 1, [3, 10]).seed is None
+        assert sample_uniform_points(
+            10, 1, np.random.SeedSequence(3)).seed is None
+
     def test_shape_and_bounds(self):
         ps = sample_uniform_points(1000, 3, 0)
         assert ps.points.shape == (1000, 3)

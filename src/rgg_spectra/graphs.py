@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .torus import (INF, MAX_RADIUS, MetricSpec, TorusPointSet, _int_root,
-                    _write_csv, grid_side)
+from .torus import (_CSV_CHUNK, INF, MAX_RADIUS, MetricSpec, TorusPointSet,
+                    _format_uint_rows, _int_root, _write_csv, grid_side)
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,15 @@ class GeometricGraph:
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with i < j, sorted lexicographically."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        keep = src < self.indices
-        return np.stack([src[keep], self.indices[keep]], axis=1)
+        return self._row_edges(0, self.n)
+
+    def _row_edges(self, lo: int, hi: int) -> np.ndarray:
+        """The edges i < j of CSR rows lo:hi, as edges() orders them."""
+        src = np.repeat(np.arange(lo, hi, dtype=np.int64),
+                        np.diff(self.indptr[lo:hi + 1]))
+        dst = self.indices[self.indptr[lo]:self.indptr[hi]]
+        keep = src < dst
+        return np.stack([src[keep], dst[keep]], axis=1)
 
     def mean_degree(self) -> float:
         return float(np.mean(self.degrees))
@@ -59,6 +65,11 @@ class GeometricGraph:
 def _csr_from_pairs(n: int, pairs_i: np.ndarray, pairs_j: np.ndarray):
     """Build (indptr, indices) from undirected int64 pairs i < j.
 
+    One int64 key src * n + dst per directed edge is filled in place into
+    a single buffer of 2m keys and sorted; the row pointers are found by
+    binary search for the row starts, and the buffer then becomes
+    `indices` in place, so the whole graph is held once plus O(n).
+
     Raises ValueError naming the first pair that is not 0 <= i < j < n,
     or the first repeated pair.
     """
@@ -66,18 +77,23 @@ def _csr_from_pairs(n: int, pairs_i: np.ndarray, pairs_j: np.ndarray):
     if bad.size:
         k = bad[0]
         raise ValueError(f"edge {pairs_i[k]},{pairs_j[k]} is not 0 <= i < j < {n}")
-    # one int64 key src * n + dst per directed edge orders the edges by
-    # (src, dst); it fits in int64 for n <= 3,037,000,499
-    key = np.concatenate([pairs_i * n + pairs_j, pairs_j * n + pairs_i])
+    # the key orders the directed edges by (src, dst); it fits in int64
+    # for n <= 3,037,000,499
+    m = len(pairs_i)
+    key = np.empty(2 * m, dtype=np.int64)
+    np.multiply(pairs_i, n, out=key[:m])
+    key[:m] += pairs_j
+    np.multiply(pairs_j, n, out=key[m:])
+    key[m:] += pairs_i
     key.sort()
     repeat = key[1:] == key[:-1]
     if np.any(repeat):
         src, dst = divmod(int(key[np.argmax(repeat)]), n)
         raise ValueError(f"edge {src},{dst} appears twice")
-    src, indices = np.divmod(key, n)
+    del repeat
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, indices
+    indptr[1:] = np.searchsorted(key, np.arange(1, n + 1, dtype=np.int64) * n)
+    return indptr, np.remainder(key, n, out=key)
 
 
 def build_rgg(points: TorusPointSet, radius: float,
@@ -121,12 +137,19 @@ def build_dgg(n: int, d: int, radius: float,
         within = (delta ** metric.p).sum(axis=1) <= radius ** metric.p
     within[0] = False  # the zero offset
     offsets = coords[within]
-    strides = N ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    neighbor_ids = ((coords[:, None, :] + offsets[None, :, :]) % N) @ strides
-    indices = np.sort(neighbor_ids, axis=1).ravel()
+    # flat row-major neighbour ids, accumulated one axis at a time, so the
+    # build holds two n x degree tables and never an n x degree x d one
+    neighbor_ids = np.zeros((n, offsets.shape[0]), dtype=np.int64)
+    wrapped = np.empty_like(neighbor_ids)
+    for axis in range(d):
+        np.add(coords[:, axis, None], offsets[:, axis], out=wrapped)
+        np.remainder(wrapped, N, out=wrapped)
+        neighbor_ids *= N
+        neighbor_ids += wrapped
+    neighbor_ids.sort(axis=1)
     indptr = np.arange(n + 1, dtype=np.int64) * offsets.shape[0]
     return GeometricGraph(kind="dgg", n=n, dim=d, p=metric.p, radius=radius,
-                          indptr=indptr, indices=indices, seed=None)
+                          indptr=indptr, indices=neighbor_ids.ravel(), seed=None)
 
 
 def dgg_degree(gamma: float, d: int) -> int:
@@ -154,11 +177,28 @@ def dgg_for_gamma(gamma: float, N: int, d: int) -> GeometricGraph:
 
 
 def write_graph_csv(g: GeometricGraph, path) -> None:
-    """Header `kind,n,dim,p,radius,seed`, then one `i,j` line per edge (i<j)."""
+    """Header `kind,n,dim,p,radius,seed`, then one `i,j` line per edge (i<j).
+
+    The edges are taken in CSR row blocks of about _CSV_CHUNK stored
+    entries and each block is formatted at once by `_format_uint_rows`,
+    so the writer holds no whole-graph edge array and makes no Python
+    object per edge; the bytes are those of `"%d,%d\n" % (i, j)` per edge
+    in edges() order.
+    """
+    def row_blocks():
+        lo = 0
+        while lo < g.n:
+            # the last row hi with indptr[hi] - indptr[lo] <= _CSV_CHUNK,
+            # and at least one row
+            end = np.searchsorted(g.indptr, g.indptr[lo] + _CSV_CHUNK, side="right")
+            hi = max(lo + 1, int(end) - 1)
+            yield g._row_edges(lo, hi)
+            lo = hi
+
     p_str = "inf" if g.p == INF else "%.17g" % g.p
     seed_str = "" if g.seed is None else str(g.seed)
     _write_csv(path, f"{g.kind},{g.n},{g.dim},{p_str},{'%.17g' % g.radius},{seed_str}",
-               "%d,%d\n", g.edges())
+               _format_uint_rows, row_blocks())
 
 
 def read_graph_csv(path) -> GeometricGraph:

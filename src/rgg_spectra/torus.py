@@ -22,7 +22,7 @@ INF = math.inf
 # (and every neighbor-search shortcut) stops being valid.
 MAX_RADIUS = 0.5
 
-_CSV_CHUNK = 1 << 16  # rows formatted per write in _write_csv
+_CSV_CHUNK = 1 << 13  # rows formatted per write in _write_csv
 
 
 @dataclass(frozen=True)
@@ -155,24 +155,62 @@ def grid_points(n: int, d: int) -> TorusPointSet:
     return TorusPointSet(dim=d, points=pts, seed=None)
 
 
-def _write_csv(path, header: str, template: str, rows):
-    """The header line, then `template % tuple(row)` per row; returns path.
+def _format_uint_rows(rows: np.ndarray) -> str:
+    """`"%d,...,%d\n" % tuple(row)` for each row of a 2-d array of
+    non-negative integers, joined into one str.
 
-    `rows` is a 2-d array or an iterable of sequences, and `template` a
-    %-format with its newline, such as "%d,%.17g\n".  Rows are formatted
-    in chunks, and an array is converted to Python objects chunk by chunk,
-    so those of a whole large table never exist at once.
+    The characters are computed by digit arithmetic into a uint8 buffer
+    and the leading zeros dropped by one boolean mask, so no Python object
+    is made per cell.
     """
-    if isinstance(rows, np.ndarray):
-        chunks = (rows[i:i + _CSV_CHUNK].tolist()
-                  for i in range(0, len(rows), _CSV_CHUNK))
+    if rows.size == 0:
+        return ""
+    width = len(str(int(rows.max())))
+    # planes[c] holds character c of every cell: the cell's digits, most
+    # significant first and zero-padded to `width`, then its separator
+    planes = np.empty((width + 1,) + rows.shape, dtype=np.uint8)
+    keep = np.ones(planes.shape, dtype=bool)
+    rest = rows
+    for c in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        planes[c] = digit
+    for c in range(width - 1):  # the units digit is kept, also for 0
+        np.greater_equal(rows, 10 ** (width - 1 - c), out=keep[c])
+    planes[:width] += ord("0")
+    planes[width] = ord(",")
+    planes[width, :, -1] = ord("\n")
+    text = np.moveaxis(planes, 0, -1)[np.moveaxis(keep, 0, -1)]
+    return text.tobytes().decode("ascii")
+
+
+def _write_csv(path, header: str, template, rows):
+    """The header line, then the rows, formatted and written chunk by chunk;
+    returns path.
+
+    `template` is either a %-format with its newline, such as
+    "%d,%.17g\n", and then `rows` is a 2-d array or an iterable of
+    sequences, written as `template % tuple(row)` in chunks of _CSV_CHUNK
+    rows (an array is converted to Python objects chunk by chunk, so those
+    of a whole large table never exist at once); or `template` is a
+    function that formats a whole chunk, such as `_format_uint_rows`, and
+    then `rows` yields the chunks.
+    """
+    if callable(template):
+        chunks, format_chunk = rows, template
     else:
-        it = iter(rows)
-        chunks = iter(lambda: list(itertools.islice(it, _CSV_CHUNK)), [])
+        if isinstance(rows, np.ndarray):
+            chunks = (rows[i:i + _CSV_CHUNK].tolist()
+                      for i in range(0, len(rows), _CSV_CHUNK))
+        else:
+            it = iter(rows)
+            chunks = iter(lambda: list(itertools.islice(it, _CSV_CHUNK)), [])
+
+        def format_chunk(chunk):
+            return "".join(map(template.__mod__, map(tuple, chunk)))
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for chunk in chunks:
-            fh.write("".join(map(template.__mod__, map(tuple, chunk))))
+            fh.write(format_chunk(chunk))
     return path
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from rgg_spectra import (
     write_graph_csv,
 )
 from rgg_spectra.graphs import _csr_from_pairs
+from rgg_spectra.torus import _CSV_CHUNK
 
 
 def brute_force_edges(pts, radius, p):
@@ -61,6 +63,13 @@ def edge_set(g):
     return {(int(i), int(j)) for i, j in g.edges()}
 
 
+def assert_same_csr(a, b):
+    assert a.indptr.dtype == b.indptr.dtype == np.int64
+    assert a.indices.dtype == b.indices.dtype == np.int64
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+
+
 def check_adjacency_consistent(g):
     assert g.indptr[0] == 0 and np.all(np.diff(g.indptr) >= 0)
     for i in range(g.n):
@@ -72,6 +81,16 @@ def check_adjacency_consistent(g):
         assert np.all(np.diff(nbrs) > 0)
         for j in nbrs:
             assert i in g.adjacency[j]
+
+
+def traced_peak(f, *args):
+    """(peak bytes allocated during f(*args), its result), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def lexsort_adjacency(n, pairs_i, pairs_j):
@@ -110,6 +129,21 @@ class TestCsrLayout:
                 lexsort_adjacency(n, twice[:, 0], twice[:, 1])
             with pytest.raises(ValueError, match=re.escape(str(ref.value))):
                 _csr_from_pairs(n, twice[:, 0], twice[:, 1])
+
+    def test_peak_memory_is_one_key_buffer(self):
+        # the 2m int64 keys are sorted and become `indices` in place; beside
+        # them only O(n) arrays and 2m bools of the repeat check are live
+        rng = np.random.default_rng(0)
+        n = 4096
+        a, b = rng.integers(0, n, size=(2, 300_000))
+        pairs = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)],
+                                   axis=1)[a != b], axis=0)
+        pairs = rng.permutation(pairs)
+        pairs_i, pairs_j = pairs[:, 0].copy(), pairs[:, 1].copy()
+        peak, (indptr, indices) = traced_peak(_csr_from_pairs, n, pairs_i, pairs_j)
+        key_bytes = 2 * len(pairs) * 8
+        assert indices.nbytes == key_bytes
+        assert peak <= 1.25 * key_bytes + 32 * (n + 1)
 
     @pytest.mark.parametrize("indptr,indices", [
         ([0, 1, 2], [1, 0]),  # length n, not n + 1
@@ -250,6 +284,13 @@ class TestBuildDgg:
         assert np.all(build_dgg(49, 1, 1 / 49).degrees == 2)
         assert np.all(build_dgg(49 ** 2, 2, 2 / 49).degrees == 24)
 
+    def test_build_holds_two_neighbour_tables(self):
+        # neighbour ids are accumulated one axis at a time: the n x degree
+        # ids and one n x degree scratch table, no n x degree x d array
+        peak, g = traced_peak(build_dgg, 25 ** 2, 2, 12.25 / 25)
+        assert np.all(g.degrees == 25 ** 2 - 1)
+        assert peak <= 2.5 * g.indices.nbytes
+
     def test_vertex_transitive_and_consistent(self):
         g = build_dgg(49, 2, 0.22)
         assert len(set(g.degrees.tolist())) == 1
@@ -336,6 +377,7 @@ class TestGraphCsv:
         assert back.radius == g.radius
         assert edge_set(back) == edge_set(g)
         assert np.array_equal(back.degrees, g.degrees)
+        assert_same_csr(back, g)
 
     def test_round_trip_dgg_chebyshev_header(self, tmp_path):
         g = build_dgg(25, 2, 0.21)
@@ -346,22 +388,55 @@ class TestGraphCsv:
         back = read_graph_csv(path)
         assert back.p == INF and back.seed is None
         assert edge_set(back) == edge_set(g)
+        assert_same_csr(back, g)
 
     def test_writer_bytes_match_line_per_edge_reference(self, tmp_path):
         ps = sample_uniform_points(20000, 1, 3)
         g = build_rgg(ps, radius_for_gamma(8, 20000, 1))
         assert g.edges().shape[0] > 1 << 16  # spans more than one write chunk
+        assert g.indices.size > 8 * _CSV_CHUNK  # and several CSR row blocks
         path = tmp_path / "graph.csv"
         write_graph_csv(g, path)
         expect = f"rgg,20000,1,inf,{'%.17g' % g.radius},3\n" + "".join(
             f"{i},{j}\n" for i, j in g.edges())
-        assert path.read_text() == expect
+        assert path.read_bytes() == expect.encode()
+        assert_same_csr(read_graph_csv(path), g)
+
+    @pytest.mark.parametrize("pairs", [
+        # isolated vertices on row-block boundaries and at the end: a path
+        # over more than one block, a gap of isolated vertices, a path
+        np.array([(i, i + 1) for i in range(_CSV_CHUNK)]
+                 + [(i, i + 1) for i in range(2 * _CSV_CHUNK, 3 * _CSV_CHUNK)]),
+        # a star whose centre alone has more entries than a block
+        np.array([(0, j) for j in range(1, _CSV_CHUNK + 3)]
+                 + [(j, j + 1) for j in range(1, _CSV_CHUNK + 2, 2)]),
+    ], ids=["isolated-runs", "large-row"])
+    def test_writer_bytes_at_row_block_boundaries(self, tmp_path, pairs):
+        n = int(pairs.max()) + 5
+        indptr, indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
+        g = GeometricGraph(kind="rgg", n=n, dim=1, p=2.0, radius=0.25,
+                           indptr=indptr, indices=indices, seed=7)
+        path = tmp_path / "graph.csv"
+        write_graph_csv(g, path)
+        expect = f"rgg,{n},1,2,0.25,7\n" + "".join(
+            "%d,%d\n" % (i, j) for i, j in g.edges().tolist())
+        assert path.read_bytes() == expect.encode()
+        assert_same_csr(read_graph_csv(path), g)
+
+    def test_writer_memory_does_not_grow_with_edges(self, tmp_path):
+        # ring lattices of degree 12, with 98,304 and 786,432 edges
+        peaks = [traced_peak(write_graph_csv, build_dgg(n, 1, 6.5 / n),
+                             tmp_path / "graph.csv")[0]
+                 for n in (1 << 14, 1 << 17)]
+        assert peaks[1] < peaks[0] + (1 << 20)
+        assert peaks[1] < 4 << 20
 
     def test_round_trip_edgeless(self, tmp_path):
         ps = TorusPointSet(dim=1, points=np.array([[0.1], [0.6]]))
         g = build_rgg(ps, 0.05)
         path = tmp_path / "graph.csv"
         write_graph_csv(g, path)
+        assert path.read_text() == f"rgg,2,1,inf,{'%.17g' % 0.05},\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. loadtxt's "no data" warning
             back = read_graph_csv(path)

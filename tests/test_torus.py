@@ -22,7 +22,7 @@ from rgg_spectra import (
     torus_distance,
     write_points_csv,
 )
-from rgg_spectra.torus import _write_csv
+from rgg_spectra.torus import _format_uint_rows, _write_csv
 
 ALL_P = (1.0, 2.0, INF)
 
@@ -272,3 +272,17 @@ class TestCsvWriter:
         for rows in (arr, map(tuple, arr)):
             path = _write_csv(tmp_path / "a.csv", "h", "%.17g,%.17g\n", rows)
             assert path.read_text() == expect
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_uint_formatter_matches_percent_d(self, columns):
+        # every digit count, both sides of each power of ten, up to 2^31 - 1
+        values = sorted({0, 2 ** 31 - 1} | {10 ** k for k in range(10)}
+                        | {10 ** k - 1 for k in range(1, 10)})
+        rows = np.array(np.meshgrid(*[values] * columns, indexing="ij"),
+                        dtype=np.int64).reshape(columns, -1).T
+        template = ",".join(["%d"] * columns) + "\n"
+        expect = "".join(template % tuple(row) for row in rows.tolist())
+        assert _format_uint_rows(rows) == expect
+        for row in rows[::7]:  # one row at a time: no padding to a wider row
+            assert _format_uint_rows(row[None]) == template % tuple(row.tolist())
+        assert _format_uint_rows(rows[:0]) == ""

@@ -85,11 +85,7 @@ def _parse_methods(text: str) -> tuple[str, ...]:
         if item not in _METHOD_NAMES:
             raise ValueError(
                 f"unknown method {item!r}; choose from {', '.join(_METHOD_NAMES)}")
-    seen: list[str] = []
-    for item in items:
-        if item not in seen:
-            seen.append(item)
-    return tuple(seen)
+    return tuple(dict.fromkeys(items))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +347,12 @@ def _write_svg(path: Path, xs, ys, title: str, xlabel: str, ylabel: str,
 # outputs of more than one subcommand, as (file name, write(path)) pairs
 
 def _eigenvalue_outputs(ev, title: str) -> list:
+    import numpy as np
+
     from .torus import _write_csv
-    return [("eigenvalues.csv", partial(_write_csv, header="index,lambda",
-                                        template="%d,%.17g\n", rows=enumerate(ev))),
+    return [("eigenvalues.csv", partial(
+                _write_csv, header="index,lambda", template="%d,%.17g\n",
+                rows=np.column_stack((np.arange(ev.size), ev)))),
             ("spectrum.svg", partial(_write_svg, xs=range(ev.size), ys=ev, title=title,
                                      xlabel="rank", ylabel="lambda"))]
 
@@ -370,11 +369,14 @@ def _shifted_grid_spectrum(cfg: dict):
 
 
 def _heat_trace_outputs(ht) -> list:
+    import numpy as np
+
     from .torus import _write_csv
     signal = ht.values - ht.stationary_offset
-    return [("heat_trace.csv", partial(_write_csv, header="t,p0,p0_minus_offset",
-                                       template="%.17g,%.17g,%.17g\n",
-                                       rows=zip(ht.times, ht.values, signal))),
+    return [("heat_trace.csv", partial(
+                _write_csv, header="t,p0,p0_minus_offset",
+                template="%.17g,%.17g,%.17g\n",
+                rows=np.column_stack((ht.times, ht.values, signal)))),
             ("heat_trace.svg", partial(_write_svg, xs=ht.times, ys=signal, log=True,
                                        title="heat-trace decay", xlabel="t",
                                        ylabel="P0(t) - offset"))]
@@ -394,7 +396,8 @@ def _run_mc(cfg: dict, gp: int):
     return freq, g.n, [
         ("mc_returns.csv", partial(_write_csv, header="t,return_freq,stderr",
                                    template="%d,%.17g,%.17g\n",
-                                   rows=zip(range(freq.size), freq, se))),
+                                   rows=np.column_stack((np.arange(freq.size),
+                                                         freq, se)))),
         ("mc_returns.svg", partial(_write_svg, xs=np.arange(freq.size),
                                    ys=freq - 1.0 / g.n, log=True,
                                    title="return frequency minus 1/n",
@@ -406,6 +409,8 @@ def _run_mc(cfg: dict, gp: int):
 # (file name, write(path)) pairs
 
 def _cmd_spectrum(cfg: dict) -> list:
+    import numpy as np
+
     from . import analytic, graphs, spectra, torus
 
     d = cfg["d"]
@@ -442,7 +447,8 @@ def _cmd_spectrum(cfg: dict) -> list:
         outputs.append(("comparison.csv", partial(
             torus._write_csv, header="index,numeric,analytic,abs_diff",
             template="%d,%.17g,%.17g,%.17g\n",
-            rows=zip(range(ev.size), ev, analytic_ref, abs(ev - analytic_ref)))))
+            rows=np.column_stack((np.arange(ev.size), ev, analytic_ref,
+                                  abs(ev - analytic_ref))))))
     print(f"{g.kind}: n={g.n} mean_degree={g.mean_degree():.6g} "
           f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}]")
     return outputs
@@ -462,13 +468,15 @@ def _cmd_analytic_spectrum(cfg: dict) -> list:
     print(f"dgg closed form: n={ev.size} gamma_prime={gp} "
           f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}]")
     return [("modes.csv", partial(
-                _write_csv, rows=zip(*modes.T, w, lam),
+                _write_csv, rows=np.column_stack((modes, w, lam)),
                 header=",".join(f"m{s + 1}" for s in range(d)) + ",w,lambda",
                 template="%d," * d + "%.17g,%.17g\n")),
             *_eigenvalue_outputs(ev, f"closed-form spectrum, N = {N}, d = {d}")]
 
 
 def _cmd_levy(cfg: dict) -> list:
+    import numpy as np
+
     from . import spectra, torus
 
     d = cfg["d"]
@@ -491,8 +499,9 @@ def _cmd_levy(cfg: dict) -> list:
                 torus._write_csv, header="n,seed,gamma,gamma_prime,alpha,levy,"
                                          "levy_cubed,threshold,exceeds",
                 template="%d,%d,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%d\n",
-                rows=((r.n, r.seed, r.gamma, r.gamma_prime, r.alpha, r.levy,
-                       r.levy_cubed, r.threshold, r.exceeds) for r in rows))),
+                rows=np.array([(r.n, r.seed, r.gamma, r.gamma_prime, r.alpha, r.levy,
+                                r.levy_cubed, r.threshold, r.exceeds) for r in rows],
+                              dtype=object))),
             ("levy_vs_n.svg", partial(_write_svg, xs=n_list, ys=medians, log=True,
                                       title="median Levy distance vs size",
                                       xlabel="n", ylabel="median L"))]
@@ -525,8 +534,9 @@ def _cmd_specdim(cfg: dict) -> list:
         _write_csv,
         header="method,d_s,slope,window_lo,window_hi,r_squared,n_points",
         template="%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
-        rows=((e.method, e.d_s, e.slope, e.window[0], e.window[1],
-               e.r_squared, e.n_points) for e in estimates))))
+        rows=np.array([(e.method, e.d_s, e.slope, e.window[0], e.window[1],
+                        e.r_squared, e.n_points) for e in estimates],
+                      dtype=object))))
 
     w = np.linspace(0.0, 0.02, 401)
     exact = analytic.limit_eigenvalue_sweep(w, gp, alpha, d)
@@ -536,7 +546,8 @@ def _cmd_specdim(cfg: dict) -> list:
                        np.where(tay == 0.0, 0.0, np.inf))
     outputs.append(("taylor_curve.csv", partial(
         _write_csv, header="w,lambda_exact,lambda_taylor,rel_dev",
-        template="%.17g,%.17g,%.17g,%.17g\n", rows=zip(w, exact, tay, rel))))
+        template="%.17g,%.17g,%.17g,%.17g\n",
+        rows=np.column_stack((w, exact, tay, rel)))))
 
     for e in estimates:
         print(f"{e.method}: d_s={e.d_s:.6g} r2={e.r_squared:.6g} "

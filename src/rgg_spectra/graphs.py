@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .torus import (_CSV_CHUNK, INF, MAX_RADIUS, MetricSpec, TorusPointSet,
-                    _format_uint_rows, _int_root, _write_csv, grid_side)
+                    _int_root, _read_csv, _write_csv, grid_side)
 
 
 @dataclass(frozen=True)
@@ -179,40 +179,26 @@ def dgg_for_gamma(gamma: float, N: int, d: int) -> GeometricGraph:
 def write_graph_csv(g: GeometricGraph, path) -> None:
     """Header `kind,n,dim,p,radius,seed`, then one `i,j` line per edge (i<j).
 
-    The edges are taken in CSR row blocks of about _CSV_CHUNK stored
-    entries and each block is formatted at once by `_format_uint_rows`,
-    so the writer holds no whole-graph edge array and makes no Python
-    object per edge; the bytes are those of `"%d,%d\n" % (i, j)` per edge
-    in edges() order.
+    The edges are taken in CSR row blocks, each cut at the first row that
+    starts at or past a multiple of _CSV_CHUNK stored entries, and
+    `_write_csv` formats each block with `"%d,%d\n"`; so the writer holds
+    no whole-graph edge array, only the Python ints of one block, and the
+    lines are in edges() order.
     """
-    def row_blocks():
-        lo = 0
-        while lo < g.n:
-            # the last row hi with indptr[hi] - indptr[lo] <= _CSV_CHUNK,
-            # and at least one row
-            end = np.searchsorted(g.indptr, g.indptr[lo] + _CSV_CHUNK, side="right")
-            hi = max(lo + 1, int(end) - 1)
-            yield g._row_edges(lo, hi)
-            lo = hi
-
+    cuts = np.unique(np.append(np.searchsorted(
+        g.indptr, np.arange(0, g.indptr[-1], _CSV_CHUNK)), g.n))
     p_str = "inf" if g.p == INF else "%.17g" % g.p
     seed_str = "" if g.seed is None else str(g.seed)
     _write_csv(path, f"{g.kind},{g.n},{g.dim},{p_str},{'%.17g' % g.radius},{seed_str}",
-               _format_uint_rows, row_blocks())
+               "%d,%d\n", (g._row_edges(lo, hi) for lo, hi in zip(cuts, cuts[1:])))
 
 
 def read_graph_csv(path) -> GeometricGraph:
-    with open(path) as fh:
-        kind, n, dim, p_str, radius, seed_str = fh.readline().strip().split(",")
-        n, dim = int(n), int(dim)
-        p = INF if p_str == "inf" else float(p_str)
-        seed = int(seed_str) if seed_str else None
-        body_start = fh.tell()
-        if fh.read(1):
-            fh.seek(body_start)
-            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        else:  # edgeless graph; loadtxt would warn about the empty body
-            rows = np.empty((0, 2), dtype=np.int64)
+    fields, rows = _read_csv(path, 6, lambda fields: 2, dtype=np.int64)
+    kind, n, dim, p_str, radius, seed_str = fields
+    n = int(n)
     indptr, indices = _csr_from_pairs(n, rows[:, 0], rows[:, 1])
-    return GeometricGraph(kind=kind, n=n, dim=dim, p=p, radius=float(radius),
-                          indptr=indptr, indices=indices, seed=seed)
+    return GeometricGraph(kind=kind, n=n, dim=int(dim),
+                          p=INF if p_str == "inf" else float(p_str),
+                          radius=float(radius), indptr=indptr, indices=indices,
+                          seed=int(seed_str) if seed_str else None)

@@ -7,7 +7,6 @@ the constant-mean-degree regime are obtained by inverting the lp ball volume.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,7 +21,9 @@ INF = math.inf
 # (and every neighbor-search shortcut) stops being valid.
 MAX_RADIUS = 0.5
 
-_CSV_CHUNK = 1 << 13  # rows formatted per write in _write_csv
+# rows per block when _write_csv cuts an array; write_graph_csv cuts its
+# CSR rows into blocks of about this many stored entries
+_CSV_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -155,63 +156,46 @@ def grid_points(n: int, d: int) -> TorusPointSet:
     return TorusPointSet(dim=d, points=pts, seed=None)
 
 
-def _format_uint_rows(rows: np.ndarray) -> str:
-    """`"%d,...,%d\n" % tuple(row)` for each row of a 2-d array of
-    non-negative integers, joined into one str.
+def _write_csv(path, header: str, template: str, rows):
+    """The header line, then the rows, written block by block; returns path.
 
-    The characters are computed by digit arithmetic into a uint8 buffer
-    and the leading zeros dropped by one boolean mask, so no Python object
-    is made per cell.
+    `template` is a %-format of one row with its newline, such as
+    "%d,%.17g\n", and `rows` is a 2-d array, cut into blocks of _CSV_CHUNK
+    rows, or an iterable of 2-d array blocks.  Each block is formatted by
+    one `%` of the template repeated once per row, so the Python objects
+    of a whole large table never exist at once; a str column needs a
+    `dtype=object` array.
     """
-    if rows.size == 0:
-        return ""
-    width = len(str(int(rows.max())))
-    # planes[c] holds character c of every cell: the cell's digits, most
-    # significant first and zero-padded to `width`, then its separator
-    planes = np.empty((width + 1,) + rows.shape, dtype=np.uint8)
-    keep = np.ones(planes.shape, dtype=bool)
-    rest = rows
-    for c in range(width - 1, -1, -1):
-        rest, digit = np.divmod(rest, 10)
-        planes[c] = digit
-    for c in range(width - 1):  # the units digit is kept, also for 0
-        np.greater_equal(rows, 10 ** (width - 1 - c), out=keep[c])
-    planes[:width] += ord("0")
-    planes[width] = ord(",")
-    planes[width, :, -1] = ord("\n")
-    text = np.moveaxis(planes, 0, -1)[np.moveaxis(keep, 0, -1)]
-    return text.tobytes().decode("ascii")
-
-
-def _write_csv(path, header: str, template, rows):
-    """The header line, then the rows, formatted and written chunk by chunk;
-    returns path.
-
-    `template` is either a %-format with its newline, such as
-    "%d,%.17g\n", and then `rows` is a 2-d array or an iterable of
-    sequences, written as `template % tuple(row)` in chunks of _CSV_CHUNK
-    rows (an array is converted to Python objects chunk by chunk, so those
-    of a whole large table never exist at once); or `template` is a
-    function that formats a whole chunk, such as `_format_uint_rows`, and
-    then `rows` yields the chunks.
-    """
-    if callable(template):
-        chunks, format_chunk = rows, template
-    else:
-        if isinstance(rows, np.ndarray):
-            chunks = (rows[i:i + _CSV_CHUNK].tolist()
-                      for i in range(0, len(rows), _CSV_CHUNK))
-        else:
-            it = iter(rows)
-            chunks = iter(lambda: list(itertools.islice(it, _CSV_CHUNK)), [])
-
-        def format_chunk(chunk):
-            return "".join(map(template.__mod__, map(tuple, chunk)))
+    blocks = rows
+    if isinstance(rows, np.ndarray):
+        blocks = (rows[i:i + _CSV_CHUNK] for i in range(0, len(rows), _CSV_CHUNK))
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for chunk in chunks:
-            fh.write(format_chunk(chunk))
+        for block in blocks:
+            fh.write(template * len(block) % tuple(block.ravel().tolist()))
     return path
+
+
+def _read_csv(path, n_fields: int, columns, dtype=float):
+    """The header fields and the 2-d body of a CSV file.
+
+    `columns(fields)` gives the body's column count.  Raises ValueError
+    when the header has other than n_fields fields or the body has other
+    than that many columns.
+    """
+    with open(path) as fh:
+        fields = fh.readline().strip().split(",")
+        if len(fields) != n_fields:
+            raise ValueError(f"expected {n_fields} header fields in {path}")
+        width = columns(fields)
+        body_start = fh.tell()
+        if not fh.read(1):  # loadtxt would warn about the empty body
+            return fields, np.empty((0, width), dtype=dtype)
+        fh.seek(body_start)
+        body = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
+    if body.shape[1] != width:
+        raise ValueError(f"expected {width} columns in {path}")
+    return fields, body
 
 
 def write_points_csv(ps: TorusPointSet, path) -> None:
@@ -221,10 +205,8 @@ def write_points_csv(ps: TorusPointSet, path) -> None:
 
 
 def read_points_csv(path) -> TorusPointSet:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        dim, n = int(header[0]), int(header[1])
-        pts = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if pts.shape != (n, dim):
+    fields, pts = _read_csv(path, 2, lambda fields: int(fields[0]))
+    dim, n = int(fields[0]), int(fields[1])
+    if len(pts) != n:
         raise ValueError(f"expected {n} rows of {dim} coordinates in {path}")
     return TorusPointSet(dim=dim, points=pts, seed=None)

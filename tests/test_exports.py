@@ -1,5 +1,6 @@
 """The package's lazy public namespace and the benchmark's hooks into it."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import rgg_spectra
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = ROOT / "src" / "rgg_spectra"
+PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
@@ -52,3 +55,37 @@ def test_benchmark_graph_check_reads_the_graph_interface(tmp_path):
     w = load("perfbench_workloads", WORKLOADS).GraphIoD2()
     p = {**w.params(1), "n": 2048}
     assert w.check(p, w.run(p, str(tmp_path)), 1) == []
+
+
+def open_calls():
+    """(module.function, mode) of every open() or x.open() call in the
+    package; mode is the literal mode argument, "r" when it is left out."""
+    calls = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{module}.{node.name}"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", getattr(f, "attr", None)) == "open":
+                # builtin open(file, mode) or Path.open(mode)
+                args = node.args[1:] if isinstance(f, ast.Name) else node.args
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            args[0] if args else ast.Constant("r"))
+                assert isinstance(mode, ast.Constant), f"{module}:{node.lineno}"
+                calls.append((where, mode.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, f"{path.stem}.<module>")
+    return calls
+
+
+def test_csv_io_goes_through_one_writer_and_one_reader():
+    # manifest.json and the SVGs are written by Path.write_text, not open
+    calls = open_calls()
+    writers = {where for where, mode in calls if set(mode) & set("wax+")}
+    readers = {where for where, mode in calls if not set(mode) & set("wax+")}
+    assert writers == {"torus._write_csv"}
+    assert readers == {"torus._read_csv"}

@@ -454,3 +454,16 @@ class TestGraphCsv:
         path.write_text("rgg,4,1,inf,0.1,\n" + body)
         with pytest.raises(ValueError, match=re.escape(message)):
             read_graph_csv(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("rgg,4,1,inf,0.1,\n0,1,2\n1,2,3\n", "expected 2 columns"),
+        ("rgg,4,1,inf,0.1,\n0\n1\n", "expected 2 columns"),
+        ("rgg,4,1,inf,0.1,\n0,1\n1,2,3\n", "columns"),
+        ("rgg,4,1,inf,0.1\n0,1\n", "expected 6 header fields"),
+        ("", "expected 6 header fields"),
+    ], ids=["three-columns", "one-column", "ragged", "short-header", "empty"])
+    def test_malformed_layout_rejected(self, tmp_path, text, message):
+        path = tmp_path / "graph.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_graph_csv(path)

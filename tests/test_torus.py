@@ -22,7 +22,7 @@ from rgg_spectra import (
     torus_distance,
     write_points_csv,
 )
-from rgg_spectra.torus import _format_uint_rows, _write_csv
+from rgg_spectra.torus import _CSV_CHUNK, _write_csv
 
 ALL_P = (1.0, 2.0, INF)
 
@@ -240,6 +240,20 @@ class TestPointsCsv:
         back = read_points_csv(path)
         assert np.array_equal(back.points, ps.points)
 
+    @pytest.mark.parametrize("text,message", [
+        ("2\n0.1,0.2\n", "expected 2 header fields"),
+        ("2,1,0\n0.1,0.2\n", "expected 2 header fields"),
+        ("2,1\n0.1,0.2,0.3\n", "expected 2 columns"),
+        ("2,2\n0.1\n0.2\n", "expected 2 columns"),
+        ("2,2\n0.1,0.2\n", "expected 2 rows of 2 coordinates"),
+    ], ids=["short-header", "long-header", "wide-body", "narrow-body",
+            "missing-row"])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "points.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_points_csv(path)
+
 
 def parent_cell(v):
     """The per-cell formatting the command-line tables used before they
@@ -260,29 +274,34 @@ class TestCsvWriter:
                  -math.inf),
                 ("x", np.bool_(True), 0, 1e-300, 2.0 ** 60, np.float64(-0.0))]
         path = _write_csv(tmp_path / "t.csv", "a,b,c,d,e,f",
-                          "%s,%d,%d,%.17g,%.17g,%.17g\n", iter(rows))
+                          "%s,%d,%d,%.17g,%.17g,%.17g\n",
+                          np.array(rows, dtype=object))
         expect = "a,b,c,d,e,f\n" + "".join(
             ",".join(parent_cell(v) for v in row) + "\n" for row in rows)
         assert path.read_text() == expect
 
     def test_array_rows_span_chunks(self, tmp_path):
-        # more rows than one formatted chunk, as an array and as tuples
-        arr = np.random.default_rng(1).random(((1 << 16) + 5, 2))
+        # more rows than one block, as an array and as uneven blocks
+        arr = np.random.default_rng(1).random((3 * _CSV_CHUNK + 5, 2))
         expect = "h\n" + "".join("%.17g,%.17g\n" % tuple(r) for r in arr)
-        for rows in (arr, map(tuple, arr)):
+        cuts = [0, 1, 1, _CSV_CHUNK + 7, 2 * _CSV_CHUNK, len(arr)]
+        for rows in (arr, (arr[a:b] for a, b in zip(cuts, cuts[1:]))):
             path = _write_csv(tmp_path / "a.csv", "h", "%.17g,%.17g\n", rows)
             assert path.read_text() == expect
 
     @pytest.mark.parametrize("columns", [1, 2, 3])
-    def test_uint_formatter_matches_percent_d(self, columns):
+    def test_uint_formatter_matches_percent_d(self, tmp_path, columns):
         # every digit count, both sides of each power of ten, up to 2^31 - 1
         values = sorted({0, 2 ** 31 - 1} | {10 ** k for k in range(10)}
                         | {10 ** k - 1 for k in range(1, 10)})
         rows = np.array(np.meshgrid(*[values] * columns, indexing="ij"),
                         dtype=np.int64).reshape(columns, -1).T
         template = ",".join(["%d"] * columns) + "\n"
-        expect = "".join(template % tuple(row) for row in rows.tolist())
-        assert _format_uint_rows(rows) == expect
-        for row in rows[::7]:  # one row at a time: no padding to a wider row
-            assert _format_uint_rows(row[None]) == template % tuple(row.tolist())
-        assert _format_uint_rows(rows[:0]) == ""
+        expect = "h\n" + "".join(template % tuple(row) for row in rows.tolist())
+        path = tmp_path / "u.csv"
+        # one array; one-row blocks, so no row is padded to a wider one;
+        # and an empty block among them
+        for blocks in (rows, (row[None] for row in rows),
+                       iter([rows[:5], rows[:0], rows[5:]])):
+            assert _write_csv(path, "h", template, blocks).read_text() == expect
+        assert _write_csv(path, "h", template, rows[:0]).read_text() == "h\n"

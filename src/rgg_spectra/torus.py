@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,8 +22,9 @@ INF = math.inf
 # (and every neighbor-search shortcut) stops being valid.
 MAX_RADIUS = 0.5
 
-# rows per block when _write_csv cuts an array; write_graph_csv cuts its
-# CSR rows into blocks of about this many stored entries
+# rows per block when _write_csv cuts an array and lines per block when
+# _read_csv parses a body; write_graph_csv cuts its CSR rows into blocks
+# of about this many stored entries
 _CSV_CHUNK = 1 << 13
 
 
@@ -73,6 +75,30 @@ def torus_distance(a, b, metric: MetricSpec = MetricSpec()) -> float:
     if metric.p == INF:
         return float(np.max(delta))
     return float(np.sum(delta ** metric.p) ** (1.0 / metric.p))
+
+
+def _within(diffs, radius: float, p: float) -> np.ndarray:
+    """The connection rule of both graph builders, for many pairs at once.
+
+    `diffs` yields one array of coordinate differences per axis.  Each
+    axis wraps to delta = min(|dx|, 1 - |dx|), and a pair connects when
+    max delta <= radius (p = inf) or sum delta^p <= radius^p, summed axis
+    by axis in order; no root is taken, so a pair exactly at the radius
+    connects for every p.
+    """
+    score = None
+    for dx in diffs:
+        delta = np.abs(dx)
+        np.minimum(delta, 1.0 - delta, out=delta)
+        if p != INF:
+            delta **= p
+        if score is None:
+            score = delta
+        elif p == INF:
+            np.maximum(score, delta, out=score)
+        else:
+            score += delta
+    return score <= (radius if p == INF else radius ** p)
 
 
 def ball_volume(radius: float, d: int, metric: MetricSpec = MetricSpec()) -> float:
@@ -177,8 +203,11 @@ def _write_csv(path, header: str, template: str, rows):
 
 
 def _read_csv(path, n_fields: int, columns, dtype=float):
-    """The header fields and the 2-d body of a CSV file.
+    """Yield the header fields and the body's line count, then the body.
 
+    The body comes as 2-d blocks of at most _CSV_CHUNK lines each, so a
+    caller can fill its own buffer, sized from the line count, without
+    the whole body ever being one array; blank lines parse to no row.
     `columns(fields)` gives the body's column count.  Raises ValueError
     when the header has other than n_fields fields or the body has other
     than that many columns.
@@ -189,13 +218,18 @@ def _read_csv(path, n_fields: int, columns, dtype=float):
             raise ValueError(f"expected {n_fields} header fields in {path}")
         width = columns(fields)
         body_start = fh.tell()
-        if not fh.read(1):  # loadtxt would warn about the empty body
-            return fields, np.empty((0, width), dtype=dtype)
+        lines, last = 0, "\n"
+        for text in iter(lambda: fh.read(1 << 16), ""):
+            lines, last = lines + text.count("\n"), text[-1]
         fh.seek(body_start)
-        body = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
-    if body.shape[1] != width:
-        raise ValueError(f"expected {width} columns in {path}")
-    return fields, body
+        yield fields, lines + (last != "\n")
+        while block := list(islice(fh, _CSV_CHUNK)):
+            if all(line == "\n" for line in block):  # loadtxt would warn
+                continue
+            body = np.loadtxt(block, delimiter=",", dtype=dtype, ndmin=2)
+            if body.shape[1] != width:
+                raise ValueError(f"expected {width} columns in {path}")
+            yield body
 
 
 def write_points_csv(ps: TorusPointSet, path) -> None:
@@ -205,8 +239,15 @@ def write_points_csv(ps: TorusPointSet, path) -> None:
 
 
 def read_points_csv(path) -> TorusPointSet:
-    fields, pts = _read_csv(path, 2, lambda fields: int(fields[0]))
-    dim, n = int(fields[0]), int(fields[1])
-    if len(pts) != n:
+    reader = _read_csv(path, 2, lambda fields: int(fields[0]))
+    (dim, n), lines = next(reader)
+    dim, n = int(dim), int(n)
+    pts = np.empty((lines, dim))
+    rows = 0
+    for block in reader:
+        pts[rows:rows + len(block)] = block
+        rows += len(block)
+    pts = pts[:rows]
+    if rows != n:
         raise ValueError(f"expected {n} rows of {dim} coordinates in {path}")
     return TorusPointSet(dim=dim, points=pts, seed=None)

@@ -1,13 +1,17 @@
 """Graph construction: RGG vs brute force, grid regularity, serialization."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import rgg_spectra
 from rgg_spectra import (
     INF,
     GeometricGraph,
@@ -24,6 +28,7 @@ from rgg_spectra import (
     sample_uniform_points,
     write_graph_csv,
 )
+from rgg_spectra import graphs
 from rgg_spectra.graphs import _csr_from_pairs
 from rgg_spectra.torus import _CSV_CHUNK
 
@@ -38,6 +43,73 @@ def brute_force_edges(pts, radius, p):
         dist = (delta ** p).sum(axis=2) ** (1.0 / p)
     ii, jj = np.nonzero(np.triu(dist <= radius, k=1))
     return set(zip(ii.tolist(), jj.tolist()))
+
+
+def brute_force_rule_edges(pts, radius, p):
+    """Reference edge set over all pairs by the connection rule itself:
+    max delta <= radius, or the axis-by-axis sum of delta^p <= radius^p,
+    with no root, so exact ties come out as the rule decides them."""
+    delta = np.abs(pts[:, None, :] - pts[None, :, :])
+    delta = np.minimum(delta, 1.0 - delta)
+    if p == INF:
+        within = delta.max(axis=2) <= radius
+    else:
+        within = sum(delta[:, :, k] ** p for k in range(pts.shape[1])) <= radius ** p
+    ii, jj = np.nonzero(np.triu(within, k=1))
+    return set(zip(ii.tolist(), jj.tolist()))
+
+
+def kd_tree_csr(ps, radius, p):
+    """(indptr, indices) from scipy's periodic k-d tree, an independent
+    neighbour search with the same tie rule, sum delta^p <= radius^p."""
+    from scipy.spatial import cKDTree
+    pairs = cKDTree(ps.points, boxsize=1.0).query_pairs(radius, p=p,
+                                                         output_type="ndarray")
+    return _csr_from_pairs(ps.n, [pairs], len(pairs))
+
+
+def cell_list_edge_cases():
+    """(label, points, radii, d) where the cell list's own choices show."""
+    rng = np.random.default_rng(11)
+    cases = []
+    # near 0.5 the offsets -1 and +1 name the same cell (C = 2), and at
+    # C = 3 every cell neighbours every other
+    for d in (1, 2, 3):
+        cases.append((f"below-half d={d}", rng.random((60, d)),
+                      [np.nextafter(0.5, 0.0), 0.49, 0.34, 0.26], d))
+    # coordinates on, and one ulp either side of, the cell boundaries j/C
+    # of every cell count C near 1/radius
+    for radius in (0.1, 0.125, 1 / 7):
+        edges = np.array([j / c for c in range(2, int(1 / radius) + 3)
+                          for j in range(c)])
+        edges = np.unique(np.concatenate([edges, np.nextafter(edges, 1.0),
+                                          np.nextafter(edges, 0.0)]))
+        edges = edges[(edges >= 0.0) & (edges < 1.0)]
+        for d in (1, 2):
+            pts = edges[:, None] if d == 1 else rng.choice(edges, size=(300, d))
+            cases.append((f"cell-boundaries r={radius:.4g} d={d}", pts,
+                          [radius], d))
+    # lattice points at the tie radii k/N
+    for N in (10, 20, 21):
+        cases.append((f"lattice N={N}", grid_points(N, 1).points,
+                      [k / N for k in range(1, (N + 1) // 2)], 1))
+    cases.append(("lattice N=10 d=2", grid_points(100, 2).points,
+                  [k / 10 for k in range(1, 5)], 2))
+    # repeated points lie at distance 0 and connect
+    base = rng.random((30, 2))
+    cases.append(("duplicates", rng.permutation(
+        np.repeat(base, rng.integers(1, 4, size=30), axis=0)), [0.05, 0.2], 2))
+    # every point in one cell, and one cluster split by the wrap
+    cases.append(("one-cell", 0.3 + 1e-3 * rng.random((200, 2)), [0.01, 0.2], 2))
+    cases.append(("wrapped-cluster", (1e-3 * rng.random((200, 2)) - 5e-4) % 1.0,
+                  [0.01, 0.2], 2))
+    cases.append(("d=4", rng.random((120, 4)), [0.15, 0.3, 0.45], 4))
+    # a radius far below the spacing: cells are capped at ceil(n^(1/d))
+    # per axis, not 1/radius, so the cell table stays O(n)
+    cases.append(("tiny-radius", rng.random((50, 3)), [1e-7], 3))
+    for d in (1, 2, 3, 4):
+        cases.append((f"n=1 d={d}", rng.random((1, d)), [0.1, 0.45], d))
+    return cases
 
 
 def lattice_scores(N, d, p):
@@ -116,11 +188,16 @@ class TestCsrLayout:
         a, b = rng.integers(0, n, size=(2, m))
         pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)[a != b]
         pairs = rng.permutation(np.unique(pairs, axis=0))
-        indptr, indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
+        indptr, indices = _csr_from_pairs(n, [pairs], len(pairs))
         adjacency, counts = lexsort_adjacency(n, pairs[:, 0], pairs[:, 1])
         assert indptr.dtype == indices.dtype == np.int64
         assert np.array_equal(np.diff(indptr), counts)
         assert np.array_equal(indices, np.concatenate(adjacency))
+        # uneven blocks, an empty one among them, give the same layout
+        cuts = np.sort(rng.integers(0, len(pairs) + 1, size=4))
+        blocked = _csr_from_pairs(n, np.split(pairs, cuts) + [pairs[:0]], len(pairs))
+        assert np.array_equal(blocked[0], indptr)
+        assert np.array_equal(blocked[1], indices)
         if len(pairs):
             # a repeated pair is reported as the lexsort reference reports it
             extra = pairs[rng.integers(len(pairs), size=3)]
@@ -128,7 +205,7 @@ class TestCsrLayout:
             with pytest.raises(ValueError) as ref:
                 lexsort_adjacency(n, twice[:, 0], twice[:, 1])
             with pytest.raises(ValueError, match=re.escape(str(ref.value))):
-                _csr_from_pairs(n, twice[:, 0], twice[:, 1])
+                _csr_from_pairs(n, [twice], len(twice))
 
     def test_peak_memory_is_one_key_buffer(self):
         # the 2m int64 keys are sorted and become `indices` in place; beside
@@ -139,8 +216,7 @@ class TestCsrLayout:
         pairs = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)],
                                    axis=1)[a != b], axis=0)
         pairs = rng.permutation(pairs)
-        pairs_i, pairs_j = pairs[:, 0].copy(), pairs[:, 1].copy()
-        peak, (indptr, indices) = traced_peak(_csr_from_pairs, n, pairs_i, pairs_j)
+        peak, (indptr, indices) = traced_peak(_csr_from_pairs, n, [pairs], len(pairs))
         key_bytes = 2 * len(pairs) * 8
         assert indices.nbytes == key_bytes
         assert peak <= 1.25 * key_bytes + 32 * (n + 1)
@@ -215,6 +291,78 @@ class TestBuildRgg:
                         f"mismatch at d={d} p={p} r={radius} {label}"
                     count += 1
         assert count >= 200
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+    def test_matches_brute_force_at_cell_list_edges(self, p):
+        for label, pts, radii, d in cell_list_edge_cases():
+            ps = TorusPointSet(dim=d, points=pts)
+            for radius in radii:
+                g = build_rgg(ps, radius, MetricSpec(p))
+                assert edge_set(g) == brute_force_rule_edges(ps.points, radius, p), \
+                    f"mismatch at {label} r={radius}"
+                if label.startswith(("one-cell", "duplicates")) and radius == 0.2:
+                    assert g.edges().shape[0] > 0
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_candidate_block_size_does_not_change_the_graph(self, monkeypatch,
+                                                            block):
+        # a block of one candidate, and blocks cut inside one point's
+        # candidates, where a crowded cell gives a point more than a block
+        crowded = np.concatenate([sample_uniform_points(400, 2, 5).points,
+                                  0.6 + 1e-3 * np.random.default_rng(5).random((60, 2))])
+        instances = [(sample_uniform_points(500, 1, 4), 0.01, 1.0),
+                     (TorusPointSet(dim=2, points=crowded), 0.05, 2.0),
+                     (sample_uniform_points(300, 3, 6), 0.12, INF)]
+        expect = [build_rgg(ps, r, MetricSpec(p)) for ps, r, p in instances]
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
+        for (ps, r, p), g in zip(instances, expect):
+            assert_same_csr(build_rgg(ps, r, MetricSpec(p)), g)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_kd_tree_oracle_past_brute_force(self, d, p):
+        n = 15_000 + 5_000 * d
+        for seed in (1, 2):
+            ps = sample_uniform_points(n, d, [seed, d])
+            radius = radius_for_gamma(10, n, d, MetricSpec(p))
+            g = build_rgg(ps, radius, MetricSpec(p))
+            indptr, indices = kd_tree_csr(ps, radius, p)
+            assert np.array_equal(g.indptr, indptr)
+            assert np.array_equal(g.indices, indices)
+
+    def test_benchmark_graph_matches_kd_tree_oracle(self):
+        # the graph_io_d2 graph: n = 131,072, d = 2, gamma = 12, Chebyshev
+        ps = sample_uniform_points(131_072, 2, 0)
+        radius = radius_for_gamma(12.0, 131_072, 2)
+        g = build_rgg(ps, radius)
+        indptr, indices = kd_tree_csr(ps, radius, INF)
+        assert g.indices.size == 2 * 786_221
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+
+    def test_build_holds_kept_pairs_and_one_key_buffer(self):
+        # the kept pairs (as many bytes as the keys) and the 2m keys are
+        # live at once; beside them O(n) cell arrays and one candidate
+        # block: measured 2.21x the key bytes on the graph_io_d2 graph
+        build_rgg(sample_uniform_points(500, 2, 1), 0.05)  # numpy's lazy imports
+        ps = sample_uniform_points(131_072, 2, 0)
+        peak, g = traced_peak(build_rgg, ps, radius_for_gamma(12.0, 131_072, 2))
+        assert peak <= 2.25 * g.indices.nbytes
+
+    def test_build_and_read_load_no_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
+        probe = (
+            "import sys\n"
+            "from rgg_spectra import build_rgg, read_graph_csv, "
+            "sample_uniform_points, write_graph_csv\n"
+            "g = build_rgg(sample_uniform_points(2000, 2, 0), 0.05)\n"
+            f"write_graph_csv(g, {str(tmp_path / 'graph.csv')!r})\n"
+            f"read_graph_csv({str(tmp_path / 'graph.csv')!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_adjacency_structure(self):
         ps = sample_uniform_points(120, 2, 8)
@@ -413,7 +561,7 @@ class TestGraphCsv:
     ], ids=["isolated-runs", "large-row"])
     def test_writer_bytes_at_row_block_boundaries(self, tmp_path, pairs):
         n = int(pairs.max()) + 5
-        indptr, indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
+        indptr, indices = _csr_from_pairs(n, [pairs], len(pairs))
         g = GeometricGraph(kind="rgg", n=n, dim=1, p=2.0, radius=0.25,
                            indptr=indptr, indices=indices, seed=7)
         path = tmp_path / "graph.csv"
@@ -441,6 +589,24 @@ class TestGraphCsv:
             warnings.simplefilter("error")  # e.g. loadtxt's "no data" warning
             back = read_graph_csv(path)
         assert back.n == 2 and back.edges().shape == (0, 2)
+
+    def test_blank_lines_read_as_no_rows(self, tmp_path):
+        # a blank line inside a block, and a trailing one that is a block
+        # of its own after exactly _CSV_CHUNK edges
+        g = build_dgg(_CSV_CHUNK, 1, 1.5 / _CSV_CHUNK)  # a ring
+        path = tmp_path / "graph.csv"
+        write_graph_csv(g, path)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == _CSV_CHUNK
+        path.write_text(header + "".join(lines[:5]) + "\n" + "".join(lines[5:-1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_graph_csv(path)
+        assert edge_set(back) == edge_set(g) - {tuple(g.edges()[-1].tolist())}
+        path.write_text(header + "".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_csr(read_graph_csv(path), g)
 
     @pytest.mark.parametrize("body,message", [
         ("0,0\n", "edge 0,0 is not 0 <= i < j < 4"),

@@ -30,7 +30,7 @@ _EXPORTS = {
                  "limit_eigenvalue", "limit_eigenvalue_sweep",
                  "taylor_lambda", "fiedler_eigenvalue", "regularizer_gap"],
     "specdim": ["SpecDimEstimate", "HeatTrace", "theoretical_cdf",
-                "theoretical_ds", "estimate_ds_from_spectrum", "heat_trace",
+                "estimate_ds_from_spectrum", "heat_trace",
                 "find_heat_horizon", "default_heat_grid",
                 "estimate_ds_from_heat_trace", "mc_return_probability",
                 "mc_stderr", "estimate_ds_from_mc", "shift_spectrum"],

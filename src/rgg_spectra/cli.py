@@ -568,7 +568,8 @@ def _cmd_diffusion(cfg: dict) -> list:
     outputs = _heat_trace_outputs(specdim.heat_trace(shifted, grid))
     _, n_nodes, mc_outputs = _run_mc(cfg, gp)
     print(f"heat grid [1, {t_hi:.6g}] with {grid.size} points; "
-          f"{cfg['walkers']} walkers to t={cfg['tmax']} on n={n_nodes}")
+          f"{cfg['walkers']} walkers to t={cfg['tmax']} on n={n_nodes}, "
+          f"walk threads={specdim._walk_threads(cfg['walkers'])}")
     return outputs + mc_outputs
 
 

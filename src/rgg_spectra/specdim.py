@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import taylor_lambda
-from .errors import EstimationError
+from .errors import CapacityError, EstimationError
 from .graphs import GeometricGraph
-from .spectra import SpectralDistribution, esd_cdf
+from .spectra import _GET_NUM_THREADS, SpectralDistribution, _openblas, esd_cdf
 
 ZERO_TOL = 1e-9
 CDF_WINDOW_FRACTION = 0.02
@@ -42,13 +42,22 @@ MC_T_LO = 10
 # continuum power law.
 MC_SIGNAL_FLOOR = 1e-3
 MC_R2_GATE = 0.9
+# Walkers per (seed, batch) stream.  Batches are walked _MC_GROUP at a time
+# as one vector of up to 16,384 walkers, each batch drawing from its own
+# stream into its slice, so the grouping changes no draw.
 MC_BATCH = 4096
+_MC_GROUP = 4
+_MC_WIDTH = _MC_GROUP * MC_BATCH
 # Walk steps drawn per rng.integers call.  Any block size reads the same
 # stream as one call per step: PCG64 keeps a half-used 32-bit word across
 # calls, Lemire rejection skips single words, and the draws fill the block
-# in row-major (step-major) order.  16 steps of MC_BATCH int64 choices are
-# 512 KB; all 512 steps of a batch at once would be 16 MB.
-_MC_BLOCK = 16
+# in row-major (step-major) order.  Int32 draws read the same words as
+# int64 draws, since both take Lemire's 32-bit path for any range below
+# 2^32.  Each walking thread holds one (_MC_BLOCK, 16,384) int32 block,
+# 512 KiB, and about 860 KiB with its walker vectors and the transient
+# draw and index temporaries.  16-step blocks were no faster on two
+# threads and cost 1.2 MB more peak RSS.
+_MC_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,6 @@ def theoretical_cdf(x, gamma_prime: float, alpha: float, d: int):
     val = (np.asarray(x, dtype=float)
            / taylor_lambda(1.0, gamma_prime, alpha, d)) ** (d / 2.0)
     return float(val) if val.ndim == 0 else val
-
-
-def theoretical_ds(d: int) -> float:
-    """The closed result: the spectral dimension equals d."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    return float(d)
 
 
 def _fit(method: str, x: np.ndarray, y: np.ndarray, scale: float,
@@ -201,6 +203,52 @@ def estimate_ds_from_heat_trace(ht: HeatTrace) -> SpecDimEstimate:
                 "grid times in the window", HEAT_R2_GATE)
 
 
+def _walk_threads(walkers: int) -> int:
+    """Threads a walk of `walkers` runs on: the BLAS thread count in effect,
+    read back from OpenBLAS (1 without its getter), and at most one per
+    group of _MC_GROUP batches.
+    """
+    get = _openblas(*_GET_NUM_THREADS)
+    return max(1, min(1 if get is None else get(), -(-walkers // _MC_WIDTH)))
+
+
+def _walk_groups(table: np.ndarray, n: int, degree: int, t_max: int,
+                 walkers: int, seed, groups) -> np.ndarray:
+    """Return counts of the walker groups `groups`, in this thread's buffers.
+
+    Group k holds batches _MC_GROUP * k onward; each batch draws its start
+    nodes and then its steps, block by block, from default_rng([seed, b]).
+    """
+    counts = np.zeros(t_max + 1, dtype=np.int64)
+    block = np.empty((_MC_BLOCK, _MC_WIDTH), dtype=np.int32)
+    start, pos, idx = (np.empty(_MC_WIDTH, dtype=np.int32) for _ in range(3))
+    hit = np.empty(_MC_WIDTH, dtype=bool)
+    for group in groups:
+        size = min(_MC_WIDTH, walkers - group * _MC_WIDTH)
+        batches = [(np.random.default_rng([seed, group * _MC_GROUP + i]),
+                    lo, min(lo + MC_BATCH, size))
+                   for i, lo in enumerate(range(0, size, MC_BATCH))]
+        s, p, ix, h = start[:size], pos[:size], idx[:size], hit[:size]
+        for rng, lo, hi in batches:
+            s[lo:hi] = rng.integers(0, n, size=hi - lo, dtype=np.int32)
+        s *= degree
+        p[:] = s
+        counts[0] += size
+        for t0 in range(1, t_max + 1, _MC_BLOCK):
+            steps = min(_MC_BLOCK, t_max + 1 - t0)
+            for rng, lo, hi in batches:
+                block[:steps, lo:hi] = rng.integers(
+                    0, degree, size=(steps, hi - lo), dtype=np.int32)
+            for t, choice in enumerate(block[:steps, :size], t0):
+                np.add(p, choice, out=ix)
+                # indices are in range by construction; "clip" lets take
+                # write into pos without the buffer "raise" mode needs
+                np.take(table, ix, out=p, mode="clip")
+                np.equal(p, s, out=h)
+                counts[t] += np.count_nonzero(h)
+    return counts
+
+
 def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
                           seed) -> np.ndarray:
     """Per-step return frequencies of uniform-neighbor random walks.
@@ -208,10 +256,13 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
     Requires a regular graph so that the step operator is A/degree and the
     expectation of the return frequency equals (1/n) sum_i nu_i^t over the
     transition eigenvalues nu_i.  Walkers are simulated in fixed-size
-    batches with streams keyed by (seed, batch index), so results do not
-    depend on scheduling.  Within a batch the steps are drawn in blocks
-    from the same stream that one draw per step would read, so the
-    frequencies are bit-identical for every block size.
+    batches with streams keyed by (seed, batch index), and within a batch
+    the steps are drawn in blocks from the same stream that one draw per
+    step would read.  The batches run, _MC_GROUP at a time, on the BLAS
+    thread count in effect (`--threads`, RGG_SPECTRA_THREADS), each thread
+    adding into its own integer counts, so the frequencies are bit-identical
+    for every block size and every thread count.  The walk runs in int32,
+    so n * degree must fit in it; CapacityError otherwise.
     """
     if np.any(g.degrees == 0):
         raise ValueError("graph has a zero-degree node; walks are undefined")
@@ -220,32 +271,27 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
         raise ValueError("return-probability walks require a regular graph")
     if t_max < 0 or walkers < 1:
         raise ValueError("t_max must be >= 0 and walkers >= 1")
+    if len(g.indices) > np.iinfo(np.int32).max:
+        raise CapacityError(
+            f"n * degree = {len(g.indices)} exceeds the int32 walk table")
     # Walkers carry node * degree, so the neighbor table is flat and one
     # step is an add and a take: table[pos + choice] = neighbor * degree.
-    table = g.indices.astype(np.intp) * degree
-    counts = np.zeros(t_max + 1, dtype=np.int64)
-    done = 0
-    batch_index = 0
-    while done < walkers:
-        size = min(MC_BATCH, walkers - done)
-        rng = np.random.default_rng([seed, batch_index])
-        start = rng.integers(0, g.n, size=size).astype(np.intp) * degree
-        pos = start.copy()
-        idx = np.empty(size, dtype=np.intp)
-        hit = np.empty(size, dtype=bool)
-        counts[0] += size
-        for t0 in range(1, t_max + 1, _MC_BLOCK):
-            steps = min(_MC_BLOCK, t_max + 1 - t0)
-            choices = rng.integers(0, degree, size=(steps, size))
-            for t, choice in enumerate(choices, t0):
-                np.add(pos, choice, out=idx)
-                # indices are in range by construction; "clip" lets take
-                # write into pos without the buffer "raise" mode needs
-                np.take(table, idx, out=pos, mode="clip")
-                np.equal(pos, start, out=hit)
-                counts[t] += np.count_nonzero(hit)
-        done += size
-        batch_index += 1
+    table = g.indices.astype(np.int32)
+    table *= degree
+    n_groups = -(-walkers // _MC_WIDTH)
+    threads = _walk_threads(walkers)
+
+    def walk(k: int) -> np.ndarray:
+        return _walk_groups(table, g.n, degree, t_max, walkers, seed,
+                            range(k, n_groups, threads))
+
+    if threads == 1:
+        counts = walk(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            counts = sum(pool.map(walk, range(threads)))
     return counts / walkers
 
 

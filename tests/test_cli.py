@@ -19,6 +19,7 @@ from rgg_spectra.cli import (
     THREADS_ENV,
     main,
 )
+from rgg_spectra.specdim import MC_BATCH
 
 
 def read_csv(path):
@@ -454,6 +455,25 @@ class TestThreadControl:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+    def test_walk_outputs_identical_across_thread_counts(self, tmp_path):
+        # fresh processes, so each pin takes effect before numpy loads; the
+        # 9 batches of walkers form three groups, enough for two threads
+        src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
+        returns = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "rgg_spectra.cli", "diffusion", "--d",
+                 "2", "--N", "16", "--gamma-prime", "8", "--walkers",
+                 str(9 * MC_BATCH + 3), "--tmax", "40", "--threads",
+                 str(threads), "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": src}, check=True,
+                capture_output=True, text=True)
+            walk_threads = min(read_manifest(out)["blas_threads"] or 1, 3)
+            assert f"walk threads={walk_threads}" in result.stdout
+            returns.append((out / "mc_returns.csv").read_bytes())
+        assert returns[0] == returns[1]
 
     def test_nonpositive_threads_rejected(self, tmp_path):
         code = main(["analytic-spectrum", "--d", "1", "--N", "8",

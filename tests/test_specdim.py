@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from rgg_spectra import (
+    INF,
+    CapacityError,
     EstimationError,
+    GeometricGraph,
     HeatTrace,
     SingularityError,
     SpectralDistribution,
@@ -29,7 +32,6 @@ from rgg_spectra import (
     specdim,
     taylor_lambda,
     theoretical_cdf,
-    theoretical_ds,
 )
 from rgg_spectra.specdim import (
     _MC_BLOCK,
@@ -112,11 +114,6 @@ class TestTheoreticalCdf:
     def test_singular_regularizer_rejected(self):
         with pytest.raises(SingularityError):
             theoretical_cdf(1e-4, 0, 0.0, 1)
-
-    def test_theoretical_ds_is_the_dimension(self):
-        assert [theoretical_ds(d) for d in (1, 2, 3)] == [1.0, 2.0, 3.0]
-        with pytest.raises(ValueError):
-            theoretical_ds(0)
 
 
 class TestHeatTrace:
@@ -282,16 +279,50 @@ WALK_GRAPHS = [
 
 class TestRandomWalks:
     @pytest.mark.parametrize("n,d,k,degree", WALK_GRAPHS)
-    def test_bitwise_equal_to_per_step_reference(self, n, d, k, degree):
+    def test_bitwise_equal_to_per_step_reference(self, n, d, k, degree,
+                                                  monkeypatch):
         g = build_dgg(n, d, dgg_radius(k, round(n ** (1.0 / d))))
         assert np.all(g.degrees == degree)
         B = _MC_BLOCK
-        for walkers in (1, 7, MC_BATCH - 1, MC_BATCH, 2 * MC_BATCH + 3):
+        # 4 batches share a walker group; the last two counts span two and
+        # three groups, each ending in a ragged group
+        for walkers in (1, 7, MC_BATCH - 1, MC_BATCH, 2 * MC_BATCH + 3,
+                        5 * MC_BATCH + 3, 9 * MC_BATCH + 3):
             for t_max in (0, 1, B - 1, B, B + 1, 3 * B + 5):
                 for seed in (0, 11):
-                    got = mc_return_probability(g, t_max, walkers, seed)
                     expect = reference_walk(g, t_max, walkers, seed)
-                    assert np.array_equal(got, expect), (walkers, t_max, seed)
+                    for threads in (1, 2, 3):
+                        monkeypatch.setattr(specdim, "_walk_threads",
+                                            lambda _: threads)
+                        got = mc_return_probability(g, t_max, walkers, seed)
+                        assert np.array_equal(got, expect), \
+                            (walkers, t_max, seed, threads)
+
+    def test_int32_table_capacity_checked_before_allocation(self):
+        # n * degree = 2^31 entries; the zero-stride view allocates nothing
+        n, degree = 1 << 20, 1 << 11
+        g = GeometricGraph(kind="dgg", n=n, dim=2, p=INF, radius=0.01,
+                           indptr=np.arange(n + 1, dtype=np.int64) * degree,
+                           indices=np.broadcast_to(np.int64(0), (n * degree,)))
+        with pytest.raises(CapacityError, match="int32"):
+            mc_return_probability(g, 4, 100, 0)
+
+    def test_peak_memory_is_the_table_plus_one_mib_per_thread(self, monkeypatch):
+        g = build_dgg(4096, 2, dgg_radius(1, 64))
+        assert np.all(g.degrees == 8)
+        table_bytes = 4 * len(g.indices)
+        threads = 2
+        monkeypatch.setattr(specdim, "_walk_threads", lambda _: threads)
+        # a first, untraced walk pays the thread pool's import and numpy's
+        # one-time set-up, which are not the walk's buffers
+        mc_return_probability(g, 1, 8 * MC_BATCH, 0)
+        tracemalloc.start()
+        try:
+            mc_return_probability(g, 128, 8 * MC_BATCH, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes + threads * (1 << 20)
 
     def test_triangle_return_probability(self):
         # complete graph on 3 nodes: transition eigenvalues 1, -1/2, -1/2
@@ -401,7 +432,7 @@ class TestCrossMethodAgreement:
         heat = estimate_ds_from_heat_trace(heat_trace(sd, default_heat_grid(sd)))
         g = build_dgg(1024, 1, dgg_radius(8, 1024))
         mc = estimate_ds_from_mc(mc_return_probability(g, 128, 100000, 0), 1024)
-        true = theoretical_ds(1)
+        true = 1.0  # the spectral dimension of the chain
         assert abs(cdf.d_s - true) <= 0.2
         assert abs(heat.d_s - true) <= 0.25
         assert abs(mc.d_s - true) <= 0.25

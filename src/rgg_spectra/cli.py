@@ -15,7 +15,7 @@ imported lazily inside the subcommand handlers; this module only touches
 the standard library at import time.
 
 Exit codes: 0 success, 2 bad parameters or regime, 3 problem size beyond
-the dense eigensolver cap, 4 estimation failure.
+the dense eigensolver cap or the walk's int32 table, 4 estimation failure.
 """
 
 from __future__ import annotations
@@ -263,8 +263,6 @@ def _grid_radius(gamma_prime: int, d: int, N: int) -> float:
 def _jsonable(v):
     if isinstance(v, float) and math.isinf(v):
         return "inf"
-    if isinstance(v, tuple):
-        return list(v)
     return v
 
 
@@ -419,11 +417,10 @@ def _cmd_spectrum(cfg: dict) -> list:
     metric = torus.MetricSpec(p=cfg["p"])
     outputs = []
     analytic_ref = None
+    radius = cfg["radius"]
     if cfg["kind"] == "rgg":
         n = _require(cfg, "n")
-        if cfg["radius"] is not None:
-            radius = cfg["radius"]
-        else:
+        if radius is None:
             radius = torus.radius_for_gamma(_require(cfg, "gamma"), n, d, metric)
         pts = torus.sample_uniform_points(n, d, cfg["seed"])
         g = graphs.build_rgg(pts, radius, metric)
@@ -431,9 +428,7 @@ def _cmd_spectrum(cfg: dict) -> list:
     else:
         N = _require(cfg, "N")
         gp = None
-        if cfg["radius"] is not None:
-            radius = cfg["radius"]
-        else:
+        if radius is None:
             gp = _resolve_gamma_prime(cfg, d)
             radius = _grid_radius(gp, d, N)
         g = graphs.build_dgg(N ** d, d, radius, metric)

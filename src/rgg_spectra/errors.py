@@ -14,7 +14,7 @@ class SingularityError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Problem size exceeds the dense-eigensolve cap."""
+    """Problem size exceeds the dense-eigensolve cap or the walk's int32 table."""
 
 
 class EstimationError(RuntimeError):

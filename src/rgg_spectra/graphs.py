@@ -229,7 +229,13 @@ def build_dgg(n: int, d: int, radius: float,
 
 
 def dgg_degree(gamma: float, d: int) -> int:
-    """Grid degree matched to mean degree gamma: (2*floor(gamma^(1/d))+1)^d - 1."""
+    """Grid degree matched to mean degree gamma: (2*floor(gamma^(1/d))+1)^d - 1.
+
+    gamma is the RGG's mean degree n * vol(r).  With k = floor(gamma^(1/d))
+    steps per side, gamma' is about 2^d * gamma, and the Chebyshev grid
+    radius (k + 1/2)/N is (2k+1)/gamma^(1/d) times the RGG's gamma^(1/d)/(2N).
+    The paper fixes only a constant mean degree; this matching is the
+    toolkit's choice, and every Levy distance depends on it."""
     return (2 * _int_root(gamma, d) + 1) ** d - 1
 
 
@@ -248,7 +254,7 @@ def dgg_radius(k: int, N: int) -> float:
 
 
 def dgg_for_gamma(gamma: float, N: int, d: int) -> GeometricGraph:
-    """Chebyshev DGG whose degree is dgg_degree(gamma, d)."""
+    """Chebyshev DGG of degree dgg_degree(gamma, d), about twice the RGG radius."""
     return build_dgg(N ** d, d, dgg_radius(_int_root(gamma, d), N), MetricSpec(INF))
 
 
@@ -263,18 +269,18 @@ def write_graph_csv(g: GeometricGraph, path) -> None:
     """
     cuts = np.unique(np.append(np.searchsorted(
         g.indptr, np.arange(0, g.indptr[-1], _CSV_CHUNK)), g.n))
-    p_str = "inf" if g.p == INF else "%.17g" % g.p
-    seed_str = "" if g.seed is None else str(g.seed)
-    _write_csv(path, f"{g.kind},{g.n},{g.dim},{p_str},{'%.17g' % g.radius},{seed_str}",
+    header = "%s,%d,%d,%.17g,%.17g," % (g.kind, g.n, g.dim, g.p, g.radius)
+    _write_csv(path, header + ("" if g.seed is None else str(g.seed)),
                "%d,%d\n", (g._row_edges(lo, hi) for lo, hi in zip(cuts, cuts[1:])))
 
 
 def read_graph_csv(path) -> GeometricGraph:
     reader = _read_csv(path, 6, lambda fields: 2, dtype=np.int64)
-    (kind, n, dim, p_str, radius, seed_str), lines = next(reader)
+    (kind, n, dim, p, radius, seed_str), lines = next(reader)
     n = int(n)
+    if n < 0:
+        raise ValueError(f"negative node count {n} in {path}")
     indptr, indices = _csr_from_pairs(n, reader, lines)
-    return GeometricGraph(kind=kind, n=n, dim=int(dim),
-                          p=INF if p_str == "inf" else float(p_str),
+    return GeometricGraph(kind=kind, n=n, dim=int(dim), p=float(p),
                           radius=float(radius), indptr=indptr, indices=indices,
                           seed=int(seed_str) if seed_str else None)

@@ -24,7 +24,7 @@ import numpy as np
 from .analytic import taylor_lambda
 from .errors import CapacityError, EstimationError
 from .graphs import GeometricGraph
-from .spectra import _GET_NUM_THREADS, SpectralDistribution, _openblas, esd_cdf
+from .spectra import SpectralDistribution, _blas_threads, esd_cdf
 
 ZERO_TOL = 1e-9
 CDF_WINDOW_FRACTION = 0.02
@@ -208,8 +208,7 @@ def _walk_threads(walkers: int) -> int:
     read back from OpenBLAS (1 without its getter), and at most one per
     group of _MC_GROUP batches.
     """
-    get = _openblas(*_GET_NUM_THREADS)
-    return max(1, min(1 if get is None else get(), -(-walkers // _MC_WIDTH)))
+    return max(1, min(_blas_threads() or 1, -(-walkers // _MC_WIDTH)))
 
 
 def _walk_groups(table: np.ndarray, n: int, degree: int, t_max: int,
@@ -285,13 +284,10 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
         return _walk_groups(table, g.n, degree, t_max, walkers, seed,
                             range(k, n_groups, threads))
 
-    if threads == 1:
-        counts = walk(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(threads) as pool:
-            counts = sum(pool.map(walk, range(threads)))
+    with ThreadPoolExecutor(threads) as pool:
+        counts = sum(pool.map(walk, range(threads)))
     return counts / walkers
 
 

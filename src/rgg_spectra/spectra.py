@@ -20,7 +20,7 @@ import numpy as np
 from .analytic import _check_regularizer, analytic_spectrum
 from .errors import CapacityError
 from .graphs import GeometricGraph, build_rgg, dgg_degree
-from .laplacian import RegNormLaplacian, assemble_dgg_laplacian, assemble_rgg_laplacian
+from .laplacian import RegNormLaplacian, assemble_rgg_laplacian
 from .torus import MetricSpec, grid_side, radius_for_gamma, sample_uniform_points
 
 DENSE_CAP = 8192  # largest order we will hand to the dense eigensolver
@@ -93,15 +93,21 @@ def _openblas(symbol: str, restype, *argtypes):
     return fn
 
 
+def _blas_threads() -> int | None:
+    """The BLAS thread count in effect, read back from OpenBLAS; None without it."""
+    get = _openblas(*_GET_NUM_THREADS)
+    return None if get is None else get()
+
+
 def _solver_provenance() -> dict:
     """The dense eigensolver route, BLAS build and threads, numpy and scipy.
 
-    The thread count is read back from OpenBLAS, since a pin set after numpy
-    has loaded does not take effect; BLAS values are None without a getter.
+    The thread count is read back, since a pin set after numpy has loaded
+    does not take effect; BLAS values are None without a getter.
     """
-    get, config = _openblas(*_GET_NUM_THREADS), _openblas(*_GET_CONFIG)
+    config = _openblas(*_GET_CONFIG)
     return {"blas_config": None if config is None else config().decode(),
-            "blas_threads": None if get is None else get(),
+            "blas_threads": _blas_threads(),
             "eigensolver": "dsyevd_2stage" if _openblas(*_DSYEVD_2STAGE)
             else "eigvalsh",
             "numpy_version": np.__version__,
@@ -160,14 +166,10 @@ def full_spectrum(L: RegNormLaplacian, *,
 
 
 def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
-    """Assemble the regularized Laplacian of g and eigensolve it, in place
-    on the dsyevd_2stage route (the eigvalsh fallback solves a copy)."""
+    """Assemble g's Laplacian, either kind, by assemble_rgg_laplacian and solve
+    it in place on the dsyevd_2stage route (the eigvalsh fallback copies)."""
     _check_dense_cap(g.n)
-    if g.kind == "dgg":
-        L = assemble_dgg_laplacian(g, alpha)
-    else:
-        L = assemble_rgg_laplacian(g, alpha)
-    return full_spectrum(L, overwrite=True)
+    return full_spectrum(assemble_rgg_laplacian(g, alpha), overwrite=True)
 
 
 def _rotated_cdf(e: np.ndarray, lo: float, hi: float):
@@ -243,13 +245,13 @@ def convergence_study(d: int, gamma: float, alpha: float,
 
     For each (n, seed): sample an RGG at the radius solving the mean-degree
     equation, eigensolve its regularized Laplacian, and compare that
-    spectrum with the one of the grid graph whose degree is
-    dgg_degree(gamma, d) on the same n.  The grid side is the closed form
-    (analytic_spectrum), which equals the grid graph's dense spectrum to
-    rounding; it raises what the dense route would, including the dense
-    cap on n.  Every size is checked before the first trial runs.  Trials
-    draw from independent streams keyed by (seed, n); a repeated size or
-    seed is a ValueError.
+    spectrum with the one of the grid graph of degree dgg_degree(gamma, d)
+    on the same n, about twice the RGG radius (see dgg_degree).  The grid
+    side is the closed form (analytic_spectrum), which equals the grid
+    graph's dense spectrum to rounding; it raises what the dense route
+    would, including the dense cap on n.  Every size is checked before the
+    first trial runs.  Trials draw from independent streams keyed by
+    (seed, n); a repeated size or seed is a ValueError.
     """
     for name, values in (("size", n_list), ("seed", seeds)):
         if len(set(values)) != len(values):

@@ -55,7 +55,7 @@ class TorusPointSet:
             raise ValueError(f"points must have shape (n, {self.dim})")
         if pts.shape[0] < 1:
             raise ValueError("point set must contain at least one point")
-        if np.any(pts < 0.0) or np.any(pts >= 1.0):
+        if not np.all((pts >= 0.0) & (pts < 1.0)):
             raise ValueError("coordinates must lie in [0, 1)")
         object.__setattr__(self, "points", pts)
 
@@ -115,7 +115,7 @@ def ball_volume(radius: float, d: int, metric: MetricSpec = MetricSpec()) -> flo
 
 def radius_for_gamma(gamma: float, n: int, d: int,
                      metric: MetricSpec = MetricSpec()) -> float:
-    """Radius r with (lp ball volume of r) * n = gamma.
+    """Radius r with (lp ball volume of r) * n = gamma, the mean degree.
 
     Raises RegimeError when the solution reaches 0.5, i.e. gamma is too
     large for this n in the constant-degree regime.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rgg_spectra
-from rgg_spectra import analytic_spectrum, spectra, torus
+from rgg_spectra import analytic_spectrum, specdim, spectra, torus
 from rgg_spectra.cli import (
     EXIT_CAPACITY,
     EXIT_ESTIMATION,
@@ -376,6 +376,16 @@ class TestManifest:
         m = read_manifest(out)
         assert m["config"]["threads"] == requested
         assert m["blas_threads"] == effective
+
+    def test_manifest_and_walk_read_one_thread_count(self, tmp_path,
+                                                     monkeypatch):
+        # without the OpenBLAS getter neither reader sees a count
+        monkeypatch.setattr(spectra, "_openblas", lambda *declaration: None)
+        out = tmp_path / "run"
+        main(["analytic-spectrum", "--d", "1", "--N", "16", "--gamma-prime",
+              "4", "--out", str(out)])
+        assert read_manifest(out)["blas_threads"] is None
+        assert specdim._walk_threads(10 ** 6) == 1
 
 
 class TestConfigFile:

@@ -89,3 +89,21 @@ def test_csv_io_goes_through_one_writer_and_one_reader():
     readers = {where for where, mode in calls if not set(mode) & set("wax+")}
     assert writers == {"torus._write_csv"}
     assert readers == {"torus._read_csv"}
+
+
+def test_only_spectra_names_the_openblas_symbols():
+    # one locator and one thread-count reader: other modules call
+    # spectra._blas_threads or spectra's solvers, never the symbols
+    private = {"_openblas", "_GET_NUM_THREADS", "_GET_CONFIG", "_DSYEVD_2STAGE"}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "spectra":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        assert not named & private, (path.stem, sorted(named & private))

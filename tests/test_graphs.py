@@ -507,6 +507,21 @@ class TestDegreeHelpers:
         with pytest.raises(ValueError):
             dgg_radius(4, 7)
 
+    @pytest.mark.parametrize("d,gamma,n,k,ratio", [
+        (1, 16, 4096, 16, 33 / 16),
+        (2, 12, 4096, 3, 7 / math.sqrt(12)),
+    ], ids=["d=1", "d=2"])
+    def test_grid_radius_against_rgg_radius(self, d, gamma, n, k, ratio):
+        # gamma is the RGG's mean degree n * vol(r); the grid takes
+        # k = floor(gamma^(1/d)) steps per side, so under Chebyshev its
+        # radius (k + 1/2)/N is (2k+1)/gamma^(1/d) times the RGG's
+        # gamma^(1/d)/(2N)
+        N = round(n ** (1.0 / d))
+        assert dgg_degree(gamma, d) == (2 * k + 1) ** d - 1
+        assert dgg_for_gamma(gamma, N, d).radius == dgg_radius(k, N)
+        assert (dgg_radius(k, N) / radius_for_gamma(gamma, n, d)
+                == pytest.approx(ratio, rel=1e-15))
+
     def test_dgg_for_gamma_realizes_matched_degree(self):
         for gamma, N, d in ((8, 64, 1), (12, 16, 2), (28, 128, 1)):
             g = dgg_for_gamma(gamma, N, d)
@@ -627,7 +642,10 @@ class TestGraphCsv:
         ("rgg,4,1,inf,0.1,\n0,1\n1,2,3\n", "columns"),
         ("rgg,4,1,inf,0.1\n0,1\n", "expected 6 header fields"),
         ("", "expected 6 header fields"),
-    ], ids=["three-columns", "one-column", "ragged", "short-header", "empty"])
+        ("rgg,-1,1,inf,0.1,\n", "negative node count -1"),
+        ("rgg,-2,1,inf,0.1,\n", "negative node count -2"),
+    ], ids=["three-columns", "one-column", "ragged", "short-header", "empty",
+            "n=-1", "n=-2"])
     def test_malformed_layout_rejected(self, tmp_path, text, message):
         path = tmp_path / "graph.csv"
         path.write_text(text)

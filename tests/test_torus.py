@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             TorusPointSet(dim=2, points=np.array([[0.1, -0.2]]))
 
+    def test_point_set_rejects_nan(self):
+        # NaN fails both x < 0 and x >= 1, so only a check that each
+        # coordinate lies inside the interval catches it
+        with pytest.raises(ValueError, match=re.escape("lie in [0, 1)")):
+            TorusPointSet(dim=2, points=np.array([[0.1, 0.2], [math.nan, 0.5]]))
+
 
 class TestGridPoints:
     def test_two_by_two_lattice(self):
@@ -252,6 +259,12 @@ class TestPointsCsv:
         path = tmp_path / "points.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
+            read_points_csv(path)
+
+    def test_nan_row_rejected(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("2,2\n0.1,0.2\nnan,0.5\n")
+        with pytest.raises(ValueError, match=re.escape("lie in [0, 1)")):
             read_points_csv(path)
 
 

@@ -51,15 +51,15 @@ class TestModeFormula:
         assert lo == pytest.approx(hi, abs=1e-12)
 
     def test_geometry_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be odd"):
             dgg_eigenvalue((1,), 5, 0.0, 1, 8)  # stencil width would be even
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be an integer"):
             dgg_eigenvalue((1, 1), 6, 0.0, 2, 8)  # width not an integer
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds grid side"):
             dgg_eigenvalue((1,), 16, 0.0, 1, 8)  # stencil wider than the grid
-        with pytest.raises(ValueError):
-            dgg_eigenvalue((1,), 4, 0.0, 2, 8)  # mode length mismatch
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must have 2 components"):
+            dgg_eigenvalue((1,), 8, 0.0, 2, 8)  # mode length mismatch
+        with pytest.raises(ValueError, match=r"must lie in \[0, 8\)"):
             dgg_eigenvalue((8,), 4, 0.0, 1, 8)  # mode out of range
 
 

@@ -267,12 +267,23 @@ class TestUsageErrors:
           "0.01", "--alpha", "0"], "isolated vertex"),
         (["spectrum", "--kind", "rgg", "--d", "1", "--n", "64", "--gamma",
           "nan"], "gamma must be positive"),
+        (["specdim", "--N", "8"], "need --gamma or --gamma-prime"),
     ])
     def test_bad_parameter_exits_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["levy", "--n-list", ","],
+        ["specdim", "--N", "64", "--gamma-prime", "4", "--methods", ","],
+    ], ids=["n-list", "methods"])
+    def test_empty_list_rejected_by_parser(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == EXIT_USAGE
+        assert f"{argv[-2]}: invalid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["nan", "-1", "inf"])
     def test_bad_alpha_rejected_before_sampling(self, tmp_path, capsys,
@@ -420,6 +431,36 @@ class TestConfigFile:
                      "--gamma-prime", "4", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert f"{cfg_file}:2" in capsys.readouterr().err
+
+    def test_svg_read_from_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("svg = yes\n")
+        out = tmp_path / "run"
+        code = main(["analytic-spectrum", "--config", str(cfg_file), "--N", "16",
+                     "--gamma-prime", "4", "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "spectrum.svg").exists()
+        assert read_manifest(out)["config"]["svg"] is True
+
+    def test_bad_svg_value_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("svg = maybe\n")
+        out = tmp_path / "x"
+        code = main(["analytic-spectrum", "--config", str(cfg_file), "--N", "16",
+                     "--gamma-prime", "4", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "not a boolean: 'maybe'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kind_read_from_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("kind = dgg\n")
+        out = tmp_path / "run"
+        code = main(["spectrum", "--config", str(cfg_file), "--d", "1",
+                     "--N", "16", "--gamma-prime", "4", "--out", str(out)])
+        assert code == EXIT_OK
+        assert read_manifest(out)["config"]["kind"] == "dgg"
+        assert (out / "comparison.csv").exists()
 
     def test_bad_kind_is_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -448,6 +448,10 @@ class TestBuildDgg:
         with pytest.raises(ValueError):
             build_dgg(10, 2, 0.2)
 
+    def test_radius_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("lie in (0, 0.5)")):
+            build_dgg(64, 1, 0.5)
+
 
 class TestDegreeHelpers:
     @pytest.mark.parametrize("gamma,d,expect", [
@@ -506,6 +510,10 @@ class TestDegreeHelpers:
     def test_dgg_radius_oversized_stencil_rejected(self):
         with pytest.raises(ValueError):
             dgg_radius(4, 7)
+
+    def test_dgg_radius_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            dgg_radius(-1, 8)
 
     @pytest.mark.parametrize("d,gamma,n,k,ratio", [
         (1, 16, 4096, 16, 33 / 16),
@@ -644,8 +652,9 @@ class TestGraphCsv:
         ("", "expected 6 header fields"),
         ("rgg,-1,1,inf,0.1,\n", "negative node count -1"),
         ("rgg,-2,1,inf,0.1,\n", "negative node count -2"),
+        ("foo,4,1,inf,0.1,\n0,1\n", "kind must be 'rgg' or 'dgg'"),
     ], ids=["three-columns", "one-column", "ragged", "short-header", "empty",
-            "n=-1", "n=-2"])
+            "n=-1", "n=-2", "kind"])
     def test_malformed_layout_rejected(self, tmp_path, text, message):
         path = tmp_path / "graph.csv"
         path.write_text(text)

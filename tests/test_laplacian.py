@@ -64,6 +64,10 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_dgg_laplacian(g, 0.1)
 
+    def test_shape_validated(self):
+        with pytest.raises(ValueError, match="3x3"):
+            RegNormLaplacian(n=3, alpha=0.0, matrix=np.eye(2), source_kind="rgg")
+
     def test_symmetry_validated(self):
         bad = np.array([[1.0, 0.2], [0.1, 1.0]])
         with pytest.raises(ValueError):

@@ -365,6 +365,12 @@ class TestRandomWalks:
         with pytest.raises(ValueError, match="regular"):
             mc_return_probability(g, 4, 100, 0)
 
+    def test_zero_degree_graph_rejected(self):
+        g = build_dgg(64, 1, 0.001)  # below one lattice step
+        assert np.all(g.degrees == 0)
+        with pytest.raises(ValueError, match="zero-degree"):
+            mc_return_probability(g, 8, 10, 0)
+
     def test_bad_sizes_rejected(self):
         g = build_dgg(8, 1, dgg_radius(1, 8))
         with pytest.raises(ValueError):

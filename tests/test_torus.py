@@ -189,6 +189,23 @@ class TestSampling:
             TorusPointSet(dim=2, points=np.array([[0.1, 0.2], [math.nan, 0.5]]))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: MetricSpec(0.5), "p >= 1"),
+        (lambda: TorusPointSet(dim=2, points=np.zeros((3, 1))),
+         re.escape("shape (n, 2)")),
+        (lambda: TorusPointSet(dim=2, points=np.zeros((0, 2))),
+         "at least one point"),
+        (lambda: ball_volume(-0.1, 2), "radius must be nonnegative"),
+        (lambda: radius_for_gamma(1.0, 1, 1), "n must be at least 2"),
+        (lambda: sample_uniform_points(4, 0, 0), "d must be at least 1"),
+    ], ids=["p-below-one", "wrong-shape", "no-rows", "negative-radius",
+            "one-point", "zero-dim"])
+    def test_bad_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestGridPoints:
     def test_two_by_two_lattice(self):
         ps = grid_points(4, 2)
@@ -207,6 +224,8 @@ class TestGridPoints:
         # 125**(1/3) floats to 4.9999...; the exact-power check must not care
         assert grid_side(125, 3) == 5
         assert grid_side(4096, 2) == 64
+        # the float root of this square rounds one below its exact root
+        assert grid_side((10 ** 20 + 1) ** 2, 2) == 10 ** 20 + 1
         with pytest.raises(ValueError):
             grid_side(10, 2)
 

@@ -71,37 +71,34 @@ class GeometricGraph:
         return float(np.mean(self.degrees))
 
 
-def _csr_from_pairs(n: int, blocks, size: int):
-    """Build (indptr, indices) from blocks of undirected int64 pairs i < j.
+def _csr_from_pairs(n: int, pairs):
+    """Build (indptr, indices) from an (m, 2) array of undirected pairs i < j.
 
-    `blocks` yields (k, 2) arrays holding at most `size` pairs in all.
-    Each block's two int64 keys src * n + dst per pair are written, as
-    the block arrives, into one buffer of 2 * size keys, which is then
-    sorted; the row pointers are found by binary search for the row
-    starts, and the buffer becomes `indices` in place.  So the whole
-    graph is held once plus O(n) and one block, and the result does not
-    depend on the order of the pairs.
+    The caller gives up `pairs`: it is taken as int64, C-ordered, and
+    each row i, j is rewritten in place, _CSV_CHUNK rows at a time, into
+    its two directed keys src * n + dst, i * n + j and j * n + i.  The
+    keys are then sorted; the row pointers are found by binary search
+    for the row starts, and the keys become `indices` in place.  So the
+    whole graph is held once plus O(n) and one chunk, and the result
+    does not depend on the order of the pairs.
 
     Raises ValueError naming the first pair that is not 0 <= i < j < n,
     or the first repeated pair.
     """
     # the key orders the directed edges by (src, dst); it fits in int64
     # for n <= 3,037,000,499
-    key = np.empty(2 * size, dtype=np.int64)
-    m = 0
-    for block in blocks:
-        pairs_i, pairs_j = block[:, 0], block[:, 1]
-        bad = np.flatnonzero((pairs_i >= pairs_j) | (pairs_i < 0) | (pairs_j >= n))
+    key = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1)
+    for start in range(0, len(key), 2 * _CSV_CHUNK):
+        out = key[start:start + 2 * _CSV_CHUNK]
+        i, j = out[0::2].copy(), out[1::2]
+        bad = np.flatnonzero((i >= j) | (i < 0) | (j >= n))
         if bad.size:
             k = bad[0]
-            raise ValueError(f"edge {pairs_i[k]},{pairs_j[k]} is not 0 <= i < j < {n}")
-        out = key[2 * m:2 * (m + len(block))]
-        np.multiply(pairs_i, n, out=out[0::2])
-        out[0::2] += pairs_j
-        np.multiply(pairs_j, n, out=out[1::2])
-        out[1::2] += pairs_i
-        m += len(block)
-    key = key[:2 * m]
+            raise ValueError(f"edge {i[k]},{j[k]} is not 0 <= i < j < {n}")
+        out[0::2] *= n
+        out[0::2] += j
+        out[1::2] *= n
+        out[1::2] += i
     key.sort()
     repeat = key[1:] == key[:-1]
     if np.any(repeat):
@@ -181,15 +178,21 @@ def build_rgg(points: TorusPointSet, radius: float,
     point meets the points of about (3^d + 1) / 2 cells of side about
     the radius, O(gamma) candidates at mean degree gamma; on clustered
     input the search checks every pair that shares or neighbors a cell,
-    n(n-1)/2 when all points share one.  The build holds the kept pairs
-    and the 2m CSR keys at once.
+    n(n-1)/2 when all points share one.  The build holds the kept pair
+    blocks and their copy in one array at once, and that array becomes
+    the 2m CSR keys in place.
     """
     if not (0.0 < radius < MAX_RADIUS):
         raise ValueError(f"radius must lie in (0, 0.5), got {radius}")
+    # copied here, once _cell_pairs has freed its O(n) cell arrays
     kept = _cell_pairs(points.points, radius, metric.p)
-    m = sum(len(block) for block in kept)
-    # each block is dropped once its keys are written
-    indptr, indices = _csr_from_pairs(points.n, (kept.pop() for _ in range(len(kept))), m)
+    pairs = np.empty((sum(len(block) for block in kept), 2), dtype=np.int64)
+    end = len(pairs)
+    while kept:  # each block is dropped once it is copied
+        block = kept.pop()
+        pairs[end - len(block):end] = block
+        end -= len(block)
+    indptr, indices = _csr_from_pairs(points.n, pairs)
     return GeometricGraph(kind="rgg", n=points.n, dim=points.dim, p=metric.p,
                           radius=radius, indptr=indptr, indices=indices,
                           seed=points.seed)
@@ -275,12 +278,12 @@ def write_graph_csv(g: GeometricGraph, path) -> None:
 
 
 def read_graph_csv(path) -> GeometricGraph:
-    reader = _read_csv(path, 6, lambda fields: 2, dtype=np.int64)
-    (kind, n, dim, p, radius, seed_str), lines = next(reader)
+    (kind, n, dim, p, radius, seed_str), pairs = _read_csv(
+        path, 6, lambda fields: 2, dtype=np.int64)
     n = int(n)
     if n < 0:
         raise ValueError(f"negative node count {n} in {path}")
-    indptr, indices = _csr_from_pairs(n, reader, lines)
+    indptr, indices = _csr_from_pairs(n, pairs)
     return GeometricGraph(kind=kind, n=n, dim=int(dim), p=float(p),
                           radius=float(radius), indptr=indptr, indices=indices,
                           seed=int(seed_str) if seed_str else None)

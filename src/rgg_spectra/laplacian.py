@@ -29,7 +29,6 @@ class RegNormLaplacian:
     n: int
     alpha: float
     matrix: np.ndarray
-    source_kind: str  # "rgg" or "dgg"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -67,7 +66,7 @@ def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     # 0.0 - x, not -x: an entry of M equal to +0.0 stays +0.0, as in eye - M
     np.subtract(0.0, L, out=L)
     L.flat[::n + 1] += 1.0
-    return RegNormLaplacian(n=n, alpha=alpha, matrix=L, source_kind=g.kind)
+    return RegNormLaplacian(n=n, alpha=alpha, matrix=L)
 
 
 def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -22,9 +22,9 @@ INF = math.inf
 # (and every neighbor-search shortcut) stops being valid.
 MAX_RADIUS = 0.5
 
-# rows per block when _write_csv cuts an array and lines per block when
-# _read_csv parses a body; write_graph_csv cuts its CSR rows into blocks
-# of about this many stored entries
+# rows per block when _write_csv cuts an array and when _csr_from_pairs
+# turns pairs into keys in place; write_graph_csv cuts its CSR rows into
+# blocks of about this many stored entries
 _CSV_CHUNK = 1 << 13
 
 
@@ -203,11 +203,10 @@ def _write_csv(path, header: str, template: str, rows):
 
 
 def _read_csv(path, n_fields: int, columns, dtype=float):
-    """Yield the header fields and the body's line count, then the body.
+    """The header fields and the body, parsed as one 2-d array.
 
-    The body comes as 2-d blocks of at most _CSV_CHUNK lines each, so a
-    caller can fill its own buffer, sized from the line count, without
-    the whole body ever being one array; blank lines parse to no row.
+    The body's lines are counted first, so np.loadtxt can allocate the
+    array once, with that many rows; blank lines parse to no row.
     `columns(fields)` gives the body's column count.  Raises ValueError
     when the header has other than n_fields fields or the body has other
     than that many columns.
@@ -222,14 +221,16 @@ def _read_csv(path, n_fields: int, columns, dtype=float):
         for text in iter(lambda: fh.read(1 << 16), ""):
             lines, last = lines + text.count("\n"), text[-1]
         fh.seek(body_start)
-        yield fields, lines + (last != "\n")
-        while block := list(islice(fh, _CSV_CHUNK)):
-            if all(line == "\n" for line in block):  # loadtxt would warn
-                continue
-            body = np.loadtxt(block, delimiter=",", dtype=dtype, ndmin=2)
-            if body.shape[1] != width:
-                raise ValueError(f"expected {width} columns in {path}")
-            yield body
+        with warnings.catch_warnings():
+            # an empty body, and blank lines counted toward max_rows
+            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+            body = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2,
+                              max_rows=lines + (last != "\n"))
+    if not body.size:
+        body = body.reshape(0, width)
+    if body.shape[1] != width:
+        raise ValueError(f"expected {width} columns in {path}")
+    return fields, body
 
 
 def write_points_csv(ps: TorusPointSet, path) -> None:
@@ -239,15 +240,8 @@ def write_points_csv(ps: TorusPointSet, path) -> None:
 
 
 def read_points_csv(path) -> TorusPointSet:
-    reader = _read_csv(path, 2, lambda fields: int(fields[0]))
-    (dim, n), lines = next(reader)
+    (dim, n), pts = _read_csv(path, 2, lambda fields: int(fields[0]))
     dim, n = int(dim), int(n)
-    pts = np.empty((lines, dim))
-    rows = 0
-    for block in reader:
-        pts[rows:rows + len(block)] = block
-        rows += len(block)
-    pts = pts[:rows]
-    if rows != n:
+    if len(pts) != n:
         raise ValueError(f"expected {n} rows of {dim} coordinates in {path}")
     return TorusPointSet(dim=dim, points=pts, seed=None)

@@ -138,8 +138,7 @@ def test_criterion_4_levy_inequality_and_oracle():
         mats = []
         for _ in range(2):
             R = rng.normal(size=(n, n))
-            mats.append(RegNormLaplacian(n=n, alpha=0.0, matrix=(R + R.T) / 2,
-                                         source_kind="rgg"))
+            mats.append(RegNormLaplacian(n=n, alpha=0.0, matrix=(R + R.T) / 2))
         res = levy_distance(full_spectrum(mats[0]), full_spectrum(mats[1]))
         assert res.cube <= trace_bound(*mats) + 1e-12
     worst = 0.0

@@ -57,9 +57,9 @@ def test_benchmark_graph_check_reads_the_graph_interface(tmp_path):
     assert w.check(p, w.run(p, str(tmp_path)), 1) == []
 
 
-def open_calls():
-    """(module.function, mode) of every open() or x.open() call in the
-    package; mode is the literal mode argument, "r" when it is left out."""
+def named_calls(name):
+    """(module.function, call node) of every call of a function or method
+    called `name` in the package."""
     calls = []
 
     def visit(node, module, where):
@@ -67,18 +67,28 @@ def open_calls():
             where = f"{module}.{node.name}"
         elif isinstance(node, ast.Call):
             f = node.func
-            if getattr(f, "id", getattr(f, "attr", None)) == "open":
-                # builtin open(file, mode) or Path.open(mode)
-                args = node.args[1:] if isinstance(f, ast.Name) else node.args
-                mode = next((k.value for k in node.keywords if k.arg == "mode"),
-                            args[0] if args else ast.Constant("r"))
-                assert isinstance(mode, ast.Constant), f"{module}:{node.lineno}"
-                calls.append((where, mode.value))
+            if getattr(f, "id", getattr(f, "attr", None)) == name:
+                calls.append((where, node))
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, f"{path.stem}.<module>")
+    return calls
+
+
+def open_calls():
+    """(module.function, mode) of every open() or x.open() call in the
+    package; mode is the literal mode argument, "r" when it is left out."""
+    calls = []
+    for where, node in named_calls("open"):
+        # builtin open(file, mode) or Path.open(mode)
+        f = node.func
+        args = node.args[1:] if isinstance(f, ast.Name) else node.args
+        mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                    args[0] if args else ast.Constant("r"))
+        assert isinstance(mode, ast.Constant), f"{where}:{node.lineno}"
+        calls.append((where, mode.value))
     return calls
 
 
@@ -89,6 +99,11 @@ def test_csv_io_goes_through_one_writer_and_one_reader():
     readers = {where for where, mode in calls if not set(mode) & set("wax+")}
     assert writers == {"torus._write_csv"}
     assert readers == {"torus._read_csv"}
+
+
+def test_one_call_parses_csv_text():
+    # np.loadtxt allocates the whole body from _read_csv's line count
+    assert [where for where, _ in named_calls("loadtxt")] == ["torus._read_csv"]
 
 
 def test_only_spectra_names_the_openblas_symbols():

@@ -66,12 +66,12 @@ class TestAssembly:
 
     def test_shape_validated(self):
         with pytest.raises(ValueError, match="3x3"):
-            RegNormLaplacian(n=3, alpha=0.0, matrix=np.eye(2), source_kind="rgg")
+            RegNormLaplacian(n=3, alpha=0.0, matrix=np.eye(2))
 
     def test_symmetry_validated(self):
         bad = np.array([[1.0, 0.2], [0.1, 1.0]])
         with pytest.raises(ValueError):
-            RegNormLaplacian(n=2, alpha=0.0, matrix=bad, source_kind="rgg")
+            RegNormLaplacian(n=2, alpha=0.0, matrix=bad)
 
     @pytest.mark.parametrize("col", [0, 1022])
     def test_symmetry_checked_in_every_row_block(self, col):
@@ -81,9 +81,9 @@ class TestAssembly:
         # that block sees the asymmetry
         m[n - 1, col] = 2e-14
         with pytest.raises(ValueError):
-            RegNormLaplacian(n=n, alpha=0.0, matrix=m, source_kind="rgg")
+            RegNormLaplacian(n=n, alpha=0.0, matrix=m)
         m[n - 1, col] = 1e-15
-        RegNormLaplacian(n=n, alpha=0.0, matrix=m, source_kind="rgg")
+        RegNormLaplacian(n=n, alpha=0.0, matrix=m)
 
     @pytest.mark.parametrize("entries", [
         {(1, 2): math.nan},                        # one triangle only
@@ -97,7 +97,7 @@ class TestAssembly:
         for index, value in entries.items():
             m[index] = value
         with pytest.raises(ValueError, match="finite"):
-            RegNormLaplacian(n=4, alpha=0.0, matrix=m, source_kind="rgg")
+            RegNormLaplacian(n=4, alpha=0.0, matrix=m)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
     def test_rgg_bitwise_equals_reference(self, alpha):

@@ -43,8 +43,7 @@ def random_laplacian_pair(rng, n):
     mats = []
     for _ in range(2):
         R = rng.normal(size=(n, n))
-        mats.append(RegNormLaplacian(n=n, alpha=0.0, matrix=(R + R.T) / 2,
-                                     source_kind="rgg"))
+        mats.append(RegNormLaplacian(n=n, alpha=0.0, matrix=(R + R.T) / 2))
     return mats
 
 
@@ -83,8 +82,7 @@ class TestDenseSpectra:
 
     def test_halved_operator_spectrum(self):
         L = RegNormLaplacian(n=2, alpha=0.0,
-                             matrix=np.array([[0.5, -0.5], [-0.5, 0.5]]),
-                             source_kind="rgg")
+                             matrix=np.array([[0.5, -0.5], [-0.5, 0.5]]))
         s = full_spectrum(L)
         assert np.allclose(s.eigenvalues, [0.0, 1.0], atol=1e-14)
 
@@ -329,8 +327,8 @@ class TestTraceBound:
 
     def test_trace_bound_value(self):
         I2 = np.eye(2)
-        A = RegNormLaplacian(n=2, alpha=0.0, matrix=I2, source_kind="rgg")
-        B = RegNormLaplacian(n=2, alpha=0.0, matrix=0.0 * I2, source_kind="rgg")
+        A = RegNormLaplacian(n=2, alpha=0.0, matrix=I2)
+        B = RegNormLaplacian(n=2, alpha=0.0, matrix=0.0 * I2)
         assert trace_bound(A, B) == pytest.approx(1.0, abs=1e-15)
 
 

@@ -3,6 +3,7 @@
 import math
 import numbers
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,27 @@ class TestPointsCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_points_csv(path)
+
+    def test_last_line_without_newline_is_read(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("2,2\n0.1,0.2\n0.3,0.4")
+        assert read_points_csv(path).points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+    def test_read_peak_memory_is_one_body(self, tmp_path):
+        # loadtxt allocates the body once, from the line count, and the
+        # point set keeps it: measured 1.25x the point bytes
+        ps = sample_uniform_points(131_072, 2, 0)
+        path = tmp_path / "points.csv"
+        write_points_csv(ps, path)
+        read_points_csv(path)  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            back = read_points_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.points, ps.points)
+        assert peak <= 1.4 * ps.points.nbytes
 
     def test_nan_row_rejected(self, tmp_path):
         path = tmp_path / "points.csv"

@@ -13,13 +13,11 @@ PRNG_ALGORITHM = "PCG64"  # numpy default_rng; recorded in every run manifest
 _EXPORTS = {
     "errors": ["CapacityError", "EstimationError", "RegimeError",
                "SingularityError"],
-    "torus": ["INF", "MetricSpec", "TorusPointSet",
-              "torus_distance", "ball_volume", "radius_for_gamma",
-              "sample_uniform_points", "grid_points", "grid_side",
+    "torus": ["INF", "MetricSpec", "TorusPointSet", "ball_volume",
+              "radius_for_gamma", "sample_uniform_points", "grid_side",
               "write_points_csv", "read_points_csv"],
     "graphs": ["GeometricGraph", "build_rgg", "build_dgg", "dgg_degree",
-               "dgg_radius", "dgg_for_gamma", "write_graph_csv",
-               "read_graph_csv"],
+               "dgg_radius", "write_graph_csv", "read_graph_csv"],
     "laplacian": ["RegNormLaplacian", "assemble_rgg_laplacian",
                   "assemble_dgg_laplacian"],
     "spectra": ["SpectralDistribution", "LevyResult", "ConvergenceRow",
@@ -27,8 +25,8 @@ _EXPORTS = {
                 "levy_distance", "trace_bound", "lemma2_threshold",
                 "convergence_study", "DENSE_CAP"],
     "analytic": ["dgg_eigenvalue", "analytic_spectrum", "mode_table",
-                 "limit_eigenvalue", "limit_eigenvalue_sweep",
-                 "taylor_lambda", "fiedler_eigenvalue", "regularizer_gap"],
+                 "limit_eigenvalue_sweep", "taylor_lambda",
+                 "fiedler_eigenvalue", "regularizer_gap"],
     "specdim": ["SpecDimEstimate", "HeatTrace", "theoretical_cdf",
                 "estimate_ds_from_spectrum", "heat_trace",
                 "find_heat_horizon", "default_heat_grid",

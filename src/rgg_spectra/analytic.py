@@ -122,36 +122,20 @@ def mode_table(N: int, gamma_prime: float, alpha: float,
     return modes, w, lam
 
 
-def _continuum(comps: np.ndarray, gamma_prime: float, alpha: float,
-               d: int) -> np.ndarray:
-    """Continuum closed form at mode coordinates comps, shape (..., d), in [0, 1]."""
+def limit_eigenvalue_sweep(w_values: np.ndarray, gamma_prime: float,
+                           alpha: float, d: int) -> np.ndarray:
+    """Continuum closed form at each mode coordinate w of an array.
+
+    Each w in [0, 1] stands for the diagonal mode with every component
+    equal, entering through w^(1/d), the continuum analogue of m/N.
+    """
     _check_regularizer(gamma_prime, alpha)
     a = _odd_root(gamma_prime, d)
+    comps = np.asarray(w_values, dtype=float)[..., None].repeat(d, axis=-1)
     if np.any(comps < 0.0) or np.any(comps > 1.0):
         raise ValueError("w components must lie in [0, 1]")
     prod = np.prod(_dirichlet(np.pi * comps ** (1.0 / d), a), axis=-1)
     return _eigenvalue(prod, np.all(comps == 0.0, axis=-1), gamma_prime, alpha)
-
-
-def limit_eigenvalue(w, gamma_prime: float, alpha: float, d: int) -> float:
-    """Continuum closed form at mode coordinate w.
-
-    `w` may be a scalar (the symmetric sweep, all components equal) or a
-    length-d vector; components live in [0, 1] and enter through w^(1/d),
-    the continuum analogue of m/N.
-    """
-    w_arr = np.asarray(w, dtype=float)
-    if w_arr.ndim != 0 and w_arr.shape != (d,):
-        raise ValueError(f"w must be scalar or have {d} components")
-    return float(_continuum(np.broadcast_to(w_arr, (d,)), gamma_prime, alpha, d))
-
-
-def limit_eigenvalue_sweep(w_values: np.ndarray, gamma_prime: float,
-                           alpha: float, d: int) -> np.ndarray:
-    """limit_eigenvalue at each scalar w of an array, vectorized."""
-    w_values = np.asarray(w_values, dtype=float)
-    return _continuum(w_values[..., None].repeat(d, axis=-1), gamma_prime,
-                      alpha, d)
 
 
 def taylor_lambda(w, gamma_prime: float, alpha: float, d: int):

@@ -7,7 +7,9 @@ one rule, torus._within: max_k delta_k <= radius, or sum_k delta_k^p <=
 radius^p, so a pair exactly at the radius connects.  RGG neighbor search
 is a numpy cell list, whose cost follows how many points share a cell:
 O(n * gamma) for uniform points at mean degree gamma, O(n^2) for points
-that all fall in one cell.
+that all fall in one cell.  The grid matched to an RGG of mean degree
+gamma has degree dgg_degree(gamma, d), with k = floor(gamma^(1/d)) steps
+per side, built at the radius dgg_radius(k, N).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .torus import (_CSV_CHUNK, INF, MAX_RADIUS, MetricSpec, TorusPointSet,
+from .torus import (_CSV_CHUNK, MAX_RADIUS, MetricSpec, TorusPointSet,
                     _int_root, _read_csv, _within, _write_csv, grid_side)
 
 # candidate pairs per distance check in build_rgg: its temporaries hold
@@ -105,8 +107,7 @@ def _csr_from_pairs(n: int, pairs):
         src, dst = divmod(int(key[np.argmax(repeat)]), n)
         raise ValueError(f"edge {src},{dst} appears twice")
     del repeat
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.searchsorted(key, np.arange(1, n + 1, dtype=np.int64) * n)
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
     return indptr, np.remainder(key, n, out=key)
 
 
@@ -254,11 +255,6 @@ def dgg_radius(k: int, N: int) -> float:
     if 2 * k + 1 < N:
         return (k + 0.5) / N
     return (k + 0.25) / N
-
-
-def dgg_for_gamma(gamma: float, N: int, d: int) -> GeometricGraph:
-    """Chebyshev DGG of degree dgg_degree(gamma, d), about twice the RGG radius."""
-    return build_dgg(N ** d, d, dgg_radius(_int_root(gamma, d), N), MetricSpec(INF))
 
 
 def write_graph_csv(g: GeometricGraph, path) -> None:

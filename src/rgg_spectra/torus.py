@@ -1,8 +1,10 @@
-"""Points on the d-dimensional unit torus and lp geometry helpers.
+"""Points on the d-dimensional unit torus, the lp connection rule, and CSV I/O.
 
 Coordinates live in [0, 1)^d with periodic wraparound: the distance between
-two coordinates along one axis is min(|dx|, 1 - |dx|).  Connection radii for
-the constant-mean-degree regime are obtained by inverting the lp ball volume.
+two coordinates along one axis is min(|dx|, 1 - |dx|).  Whether two points
+lie within a radius is decided by one rule, _within, which compares
+powers and takes no root.  Connection radii for the constant-mean-degree
+regime are obtained by inverting the lp ball volume.
 """
 
 from __future__ import annotations
@@ -62,19 +64,6 @@ class TorusPointSet:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-
-def torus_distance(a, b, metric: MetricSpec = MetricSpec()) -> float:
-    """lp distance between two points of the unit torus."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    delta = np.abs(a - b)
-    delta = np.minimum(delta, 1.0 - delta)  # per-axis wrap min(|dx|, 1 - |dx|)
-    if metric.p == INF:
-        return float(np.max(delta))
-    return float(np.sum(delta ** metric.p) ** (1.0 / metric.p))
 
 
 def _within(diffs, radius: float, p: float) -> np.ndarray:
@@ -175,13 +164,6 @@ def grid_side(n: int, d: int) -> int:
     return N
 
 
-def grid_points(n: int, d: int) -> TorusPointSet:
-    """The N^d lattice {0, 1/N, ..., (N-1)/N}^d in row-major order."""
-    N = grid_side(n, d)
-    pts = np.indices((N,) * d).reshape(d, -1).T / N
-    return TorusPointSet(dim=d, points=pts, seed=None)
-
-
 def _write_csv(path, header: str, template: str, rows):
     """The header line, then the rows, written block by block; returns path.
 
@@ -240,7 +222,15 @@ def write_points_csv(ps: TorusPointSet, path) -> None:
 
 
 def read_points_csv(path) -> TorusPointSet:
-    (dim, n), pts = _read_csv(path, 2, lambda fields: int(fields[0]))
+    def columns(fields):
+        dim, n = int(fields[0]), int(fields[1])
+        if dim < 1:
+            raise ValueError(f"dimension {dim} below 1 in {path}")
+        if n < 0:
+            raise ValueError(f"negative point count {n} in {path}")
+        return dim
+
+    (dim, n), pts = _read_csv(path, 2, columns)
     dim, n = int(dim), int(n)
     if len(pts) != n:
         raise ValueError(f"expected {n} rows of {dim} coordinates in {path}")

@@ -15,7 +15,6 @@ from rgg_spectra import (
     dgg_eigenvalue,
     dgg_radius,
     fiedler_eigenvalue,
-    limit_eigenvalue,
     limit_eigenvalue_sweep,
     mode_table,
     regularizer_gap,
@@ -69,7 +68,9 @@ CLOSED_FORMS = {
     "mode_table": lambda gp, alpha: mode_table(8, gp, alpha, 1),
     "dgg_eigenvalue": lambda gp, alpha: dgg_eigenvalue((1,), gp, alpha, 1, 8),
     "fiedler_eigenvalue": lambda gp, alpha: fiedler_eigenvalue(8, gp, alpha, 1),
-    "limit_eigenvalue": lambda gp, alpha: limit_eigenvalue(0.1, gp, alpha, 1),
+    # the continuum at one w, as the one-element sweep
+    "limit_eigenvalue":
+        lambda gp, alpha: limit_eigenvalue_sweep([0.1], gp, alpha, 1),
     "limit_eigenvalue_sweep":
         lambda gp, alpha: limit_eigenvalue_sweep([0.0, 0.1], gp, alpha, 1),
     "taylor_lambda": lambda gp, alpha: taylor_lambda(0.1, gp, alpha, 1),
@@ -190,17 +191,21 @@ class TestFiedlerMode:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def limit_at(w, gp, alpha, d):
+    """The continuum closed form at one w, from a one-element sweep."""
+    return float(limit_eigenvalue_sweep([w], gp, alpha, d)[0])
+
+
 class TestContinuumLimit:
     def test_reduces_to_grid_modes_on_diagonal(self):
         N, gp, alpha, d = 6, 8, 0.1, 2
         for m in (1, 2, 3):
             w = (m / N) ** d
-            assert limit_eigenvalue(w, gp, alpha, d) == pytest.approx(
+            assert limit_at(w, gp, alpha, d) == pytest.approx(
                 dgg_eigenvalue((m,) * d, gp, alpha, d, N), abs=1e-12)
 
     def test_zero_coordinate_gives_zero(self):
-        assert limit_eigenvalue(0.0, 8, 0.1, 2) == pytest.approx(0.0, abs=1e-15)
-        assert limit_eigenvalue(np.zeros(2), 8, 0.1, 2) == pytest.approx(0.0, abs=1e-15)
+        assert limit_at(0.0, 8, 0.1, 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_coordinate_equals_grid_zero_mode(self):
         # one per-mode expression: the continuum and the grid round the
@@ -208,27 +213,18 @@ class TestContinuumLimit:
         for N, gp, alpha, d in ((32, 16, 0.1, 1), (64, 8, 0.1, 2)):
             zero_mode = mode_table(N, gp, alpha, d)[2][0]
             assert limit_eigenvalue_sweep([0.0], gp, alpha, d)[0] == zero_mode
-            assert limit_eigenvalue(0.0, gp, alpha, d) == zero_mode
-
-    def test_vector_and_scalar_forms_agree(self):
-        w = 0.04
-        scalar = limit_eigenvalue(w, 24, 0.3, 2)
-        vector = limit_eigenvalue(np.array([w, w]), 24, 0.3, 2)
-        assert scalar == pytest.approx(vector, abs=1e-15)
 
     def test_sweep_matches_pointwise(self):
         ws = np.array([0.0, 1e-4, 0.01, 0.2, 1.0])
         swept = limit_eigenvalue_sweep(ws, 8, 0.1, 2)
         for wi, li in zip(ws, swept):
-            assert li == pytest.approx(limit_eigenvalue(float(wi), 8, 0.1, 2), abs=1e-14)
+            assert li == pytest.approx(limit_at(wi, 8, 0.1, 2), abs=1e-14)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            limit_eigenvalue(-0.1, 8, 0.1, 2)
+            limit_at(-0.1, 8, 0.1, 2)
         with pytest.raises(ValueError):
-            limit_eigenvalue(1.1, 8, 0.1, 2)
-        with pytest.raises(ValueError):
-            limit_eigenvalue(np.array([0.1, 0.1, 0.1]), 8, 0.1, 2)
+            limit_at(1.1, 8, 0.1, 2)
         with pytest.raises(ValueError):
             limit_eigenvalue_sweep(np.array([0.5, 2.0]), 8, 0.1, 2)
 
@@ -252,7 +248,7 @@ class TestTaylorExpansion:
         assert out[2] == pytest.approx(4 * out[1], rel=1e-12)
 
     def rel_dev(self, w, gp, alpha, d):
-        exact = limit_eigenvalue(w, gp, alpha, d) - regularizer_gap(gp, alpha)
+        exact = limit_at(w, gp, alpha, d) - regularizer_gap(gp, alpha)
         return abs(taylor_lambda(w, gp, alpha, d) - exact) / exact
 
     def test_tracks_one_dim_continuum_at_small_w(self):

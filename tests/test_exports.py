@@ -11,6 +11,7 @@ import rgg_spectra
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = ROOT / "src" / "rgg_spectra"
 PERFBENCH = ROOT / "perfbench"
+SCRIPTS = ROOT / "scripts"
 SPANS = PERFBENCH / "spans.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
@@ -39,6 +40,51 @@ def test_export_table_lists_every_public_function_and_class():
                    and obj.__module__ == module.__name__}
         assert defined == {name for name in listed
                            if is_api(getattr(module, name))}, module_name
+
+
+def used_names(path):
+    """Every name a module reads: loaded variables, attributes, imported
+    names and string constants (the benchmark's WRAPPED table names the
+    functions it patches as strings)."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_exported_name_has_a_caller():
+    # __init__.py holds the export table and the constants it defines, so
+    # a name listed there and used nowhere else is dead public surface;
+    # the other test modules do not count as callers
+    callers = [path for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.name != "__init__.py"]
+    callers += sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    callers.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*map(used_names, callers))
+    assert sorted(set(rgg_spectra.__all__) - used) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, loaded = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # `import a.b` binds `a`
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+        assert sorted(imported - loaded) == [], path.name
 
 
 def test_benchmark_wrapped_functions_resolve():

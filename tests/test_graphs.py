@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import rgg_spectra
+from grids import lattice, matched_grid
 from rgg_spectra import (
     INF,
     GeometricGraph,
@@ -20,9 +21,7 @@ from rgg_spectra import (
     build_dgg,
     build_rgg,
     dgg_degree,
-    dgg_for_gamma,
     dgg_radius,
-    grid_points,
     radius_for_gamma,
     read_graph_csv,
     sample_uniform_points,
@@ -91,9 +90,9 @@ def cell_list_edge_cases():
                           [radius], d))
     # lattice points at the tie radii k/N
     for N in (10, 20, 21):
-        cases.append((f"lattice N={N}", grid_points(N, 1).points,
+        cases.append((f"lattice N={N}", lattice(N, 1).points,
                       [k / N for k in range(1, (N + 1) // 2)], 1))
-    cases.append(("lattice N=10 d=2", grid_points(100, 2).points,
+    cases.append(("lattice N=10 d=2", lattice(10, 2).points,
                   [k / 10 for k in range(1, 5)], 2))
     # repeated points lie at distance 0 and connect
     base = rng.random((30, 2))
@@ -218,6 +217,17 @@ class TestCsrLayout:
         assert indices.nbytes == key_bytes
         assert peak <= 0.25 * key_bytes + 32 * (n + 1)
 
+    def test_row_pointers_hold_two_row_arrays(self):
+        # one searchsorted of the row starts: the scaled arange and its
+        # result are the only (n + 1)-element arrays live at once
+        n = 1 << 20
+        pairs = np.array([[0, 1], [2, 5], [7, n - 1]])
+        _csr_from_pairs(n, pairs.copy())  # numpy's lazy imports
+        peak, (indptr, indices) = traced_peak(_csr_from_pairs, n, pairs)
+        assert indptr.dtype == np.int64 and indptr[0] == 0
+        assert indptr[-1] == len(indices) == 6
+        assert peak <= 2.25 * 8 * (n + 1)
+
     @pytest.mark.parametrize("indptr,indices", [
         ([0, 1, 2], [1, 0]),  # length n, not n + 1
         ([0, 1, 2, 3], [1, 0]),  # ends past len(indices)
@@ -280,7 +290,7 @@ class TestBuildRgg:
                         ps = sample_uniform_points(n, d, [d, int(p * 10) if p != INF else 0, seed])
                         instances.append((ps, radius, f"seed={seed}"))
                 for N in lattice_sides[d]:
-                    instances += [(grid_points(N ** d, d), k / N, f"lattice N={N}")
+                    instances += [(lattice(N, d), k / N, f"lattice N={N}")
                                   for k in range(1, (N + 1) // 2)]
                 for ps, radius, label in instances:
                     g = build_rgg(ps, radius, MetricSpec(p))
@@ -392,9 +402,9 @@ class TestBuildDgg:
         assert np.all(g.degrees == 8)
 
     def test_equals_rgg_on_lattice_points(self):
-        for n, d, r in ((16, 1, 0.2), (64, 2, 0.18), (27, 3, 0.34)):
-            dgg = build_dgg(n, d, r)
-            rgg = build_rgg(grid_points(n, d), r)
+        for N, d, r in ((16, 1, 0.2), (8, 2, 0.18), (3, 3, 0.34)):
+            dgg = build_dgg(N ** d, d, r)
+            rgg = build_rgg(lattice(N, d), r)
             assert edge_set(dgg) == edge_set(rgg)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
@@ -403,7 +413,7 @@ class TestBuildDgg:
     def test_equals_rgg_on_lattice_points_at_ties(self, d, N, p):
         # dyadic N keeps the coordinates i/N exact, so offsets of exactly
         # k lattice steps tie with the radius k/N in both builders
-        pts = grid_points(N ** d, d)
+        pts = lattice(N, d)
         radii = [k / N for k in range(1, (N + 1) // 2)]
         radii += [(k + 0.5) / N for k in range(N // 2)]
         for r in radii:
@@ -487,10 +497,10 @@ class TestDegreeHelpers:
         # floor(gamma ** (1/d)) gives k - 1 at each of these cubes
         for gamma, d, k, N in ((64, 3, 4, 9), (64, 3, 4, 10), (125, 3, 5, 11)):
             assert math.floor(gamma ** (1.0 / d)) == k - 1
-            g = dgg_for_gamma(gamma, N, d)
+            g = matched_grid(gamma, N, d)
             assert np.all(g.degrees == (2 * k + 1) ** d - 1)
             assert np.all(g.degrees == dgg_degree(gamma, d))
-            below = dgg_for_gamma(np.nextafter(float(gamma), 0.0), N, d)
+            below = matched_grid(np.nextafter(float(gamma), 0.0), N, d)
             assert np.all(below.degrees == (2 * k - 1) ** d - 1)
 
     def test_dgg_radius_selects_k_steps(self):
@@ -523,13 +533,13 @@ class TestDegreeHelpers:
         # gamma^(1/d)/(2N)
         N = round(n ** (1.0 / d))
         assert dgg_degree(gamma, d) == (2 * k + 1) ** d - 1
-        assert dgg_for_gamma(gamma, N, d).radius == dgg_radius(k, N)
+        assert matched_grid(gamma, N, d).radius == dgg_radius(k, N)
         assert (dgg_radius(k, N) / radius_for_gamma(gamma, n, d)
                 == pytest.approx(ratio, rel=1e-15))
 
     def test_dgg_for_gamma_realizes_matched_degree(self):
         for gamma, N, d in ((8, 64, 1), (12, 16, 2), (28, 128, 1)):
-            g = dgg_for_gamma(gamma, N, d)
+            g = matched_grid(gamma, N, d)
             assert g.kind == "dgg"
             assert np.all(g.degrees == dgg_degree(gamma, d))
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from grids import matched_grid
 from rgg_spectra import (
     RegNormLaplacian,
     SingularityError,
@@ -13,7 +14,6 @@ from rgg_spectra import (
     assemble_rgg_laplacian,
     build_dgg,
     build_rgg,
-    dgg_for_gamma,
     dgg_radius,
     sample_uniform_points,
 )
@@ -110,7 +110,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
     def test_dgg_bitwise_equals_reference(self, alpha):
-        for g in (dgg_for_gamma(4, 128, 1), build_dgg(144, 2, 0.2)):
+        for g in (matched_grid(4, 128, 1), build_dgg(144, 2, 0.2)):
             L = assemble_dgg_laplacian(g, alpha).matrix
             degree = np.full(g.n, float(g.degrees[0]))
             assert L.tobytes() == reference_matrix(g, alpha, degree).tobytes()
@@ -118,7 +118,7 @@ class TestAssembly:
 
 class TestGridEntries:
     def test_neighbor_weight_is_inverse_degree(self):
-        g = dgg_for_gamma(2, 8, 1)  # degree 4 ring with two-step stencil
+        g = matched_grid(2, 8, 1)  # degree 4 ring with two-step stencil
         L = assemble_dgg_laplacian(g, 0.0).matrix
         assert np.all(g.degrees == 4)
         for i in range(8):
@@ -127,7 +127,7 @@ class TestGridEntries:
         assert np.allclose(np.diag(L), 1.0, atol=1e-15)
 
     def test_regularized_diagonal_value(self):
-        g = dgg_for_gamma(2, 8, 1)
+        g = matched_grid(2, 8, 1)
         L = assemble_dgg_laplacian(g, 0.5).matrix
         expect = 1.0 - (0.5 / 8) / 4.5
         assert np.allclose(np.diag(L), expect, atol=1e-15)

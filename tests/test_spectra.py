@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grids import matched_grid
 from levy_oracle import band_holds, levy_grid_bisect, levy_grid_scan
 from rgg_spectra import (
     DENSE_CAP,
@@ -21,7 +22,6 @@ from rgg_spectra import (
     build_rgg,
     convergence_study,
     dgg_degree,
-    dgg_for_gamma,
     esd_cdf,
     full_spectrum,
     lemma2_threshold,
@@ -361,7 +361,7 @@ def dense_route_levy(d, gamma, alpha, metric, n_list, seeds):
     """Study Levy distances with the grid side from the dense eigensolve."""
     out = []
     for n in n_list:
-        sd_dgg = spectrum_of_graph(dgg_for_gamma(gamma, grid_side(n, d), d), alpha)
+        sd_dgg = spectrum_of_graph(matched_grid(gamma, grid_side(n, d), d), alpha)
         radius = radius_for_gamma(gamma, n, d, metric)
         for seed in seeds:
             g = build_rgg(sample_uniform_points(n, d, [seed, n]), radius, metric)
@@ -386,7 +386,7 @@ class TestConvergenceStudy:
         gp = dgg_degree(gamma, d)
         for n in n_list:
             N = grid_side(n, d)
-            dense = spectrum_of_graph(dgg_for_gamma(gamma, N, d), alpha)
+            dense = spectrum_of_graph(matched_grid(gamma, N, d), alpha)
             closed = sd(analytic_spectrum(N, gp, alpha, d))
             assert np.max(np.abs(closed.eigenvalues - dense.eigenvalues)) <= 1e-10
 

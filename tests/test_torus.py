@@ -1,4 +1,4 @@
-"""Torus geometry: wrapped lp distances, regime radii, lattices, CSV I/O."""
+"""Torus geometry: wrapped differences, regime radii, lattices, CSV I/O."""
 
 import math
 import numbers
@@ -7,100 +7,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from grids import lattice
 from rgg_spectra import (
     INF,
     MetricSpec,
     RegimeError,
     TorusPointSet,
     ball_volume,
-    grid_points,
     grid_side,
     radius_for_gamma,
     read_points_csv,
     sample_uniform_points,
-    torus_distance,
     write_points_csv,
 )
 from rgg_spectra.torus import _CSV_CHUNK, _write_csv
-
-ALL_P = (1.0, 2.0, INF)
 
 
 def wrapped(a, b):
     # independent reference for the per-axis torus difference
     delta = np.abs(np.asarray(a) - np.asarray(b))
     return np.minimum(delta, 1.0 - delta)
-
-
-class TestTorusDistance:
-    def test_chebyshev_wraparound(self):
-        d = torus_distance((0.95, 0.5), (0.05, 0.5), MetricSpec(INF))
-        assert d == pytest.approx(0.1, abs=1e-15)
-
-    def test_identical_points_are_at_zero(self):
-        for p in ALL_P:
-            assert torus_distance((0.3, 0.7), (0.3, 0.7), MetricSpec(p)) == 0.0
-
-    def test_one_dim_l1_wraparound(self):
-        assert torus_distance((0.1,), (0.9,), MetricSpec(1)) == pytest.approx(0.2)
-
-    def test_l2_max_separation_corner(self):
-        d = torus_distance((0.0, 0.0), (0.5, 0.5), MetricSpec(2))
-        assert d == pytest.approx(math.sqrt(0.5), abs=1e-15)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            torus_distance((0.1, 0.2), (0.1,), MetricSpec(2))
-
-    def test_metric_axioms_on_random_triples(self):
-        rng = np.random.default_rng(7)
-        for p in ALL_P:
-            m = MetricSpec(p)
-            pts = rng.random((10_000, 3, 2))
-            for a, b, c in pts[:200]:
-                dab = torus_distance(a, b, m)
-                assert dab == torus_distance(b, a, m)
-                assert dab >= 0.0
-                assert dab <= torus_distance(a, c, m) + torus_distance(c, b, m) + 1e-12
-            # vectorized triangle check over the full batch
-            da = wrapped(pts[:, 0], pts[:, 1])
-            db = wrapped(pts[:, 0], pts[:, 2])
-            dc = wrapped(pts[:, 2], pts[:, 1])
-            if p == INF:
-                lhs, r1, r2 = da.max(1), db.max(1), dc.max(1)
-            else:
-                lhs = (da ** p).sum(1) ** (1 / p)
-                r1 = (db ** p).sum(1) ** (1 / p)
-                r2 = (dc ** p).sum(1) ** (1 / p)
-            assert np.all(lhs <= r1 + r2 + 1e-12)
-
-    def test_lp_bounded_by_scaled_chebyshev(self):
-        rng = np.random.default_rng(11)
-        for d in (1, 2, 3):
-            a = rng.random((500, d))
-            b = rng.random((500, d))
-            for p in (1.0, 2.0):
-                for ai, bi in zip(a, b):
-                    lp = torus_distance(ai, bi, MetricSpec(p))
-                    linf = torus_distance(ai, bi, MetricSpec(INF))
-                    assert lp <= d ** (1.0 / p) * linf + 1e-12
-
-    @given(st.integers(1, 3), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_identity_of_indiscernibles(self, d, data):
-        coord = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False, width=64)
-        a = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
-        b = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
-        dist = torus_distance(a, b, MetricSpec(2))
-        if np.array_equal(a, b):
-            assert dist == 0.0
-        elif dist == 0.0:
-            # |delta|^2 underflows to 0 for gaps below ~1.6e-162, so a zero
-            # distance only guarantees every axis difference is negligible
-            assert np.all(wrapped(a, b) < 1e-160)
 
 
 class TestRadiusForGamma:
@@ -208,19 +135,6 @@ class TestInputChecks:
 
 
 class TestGridPoints:
-    def test_two_by_two_lattice(self):
-        ps = grid_points(4, 2)
-        expect = {(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)}
-        assert {tuple(row) for row in ps.points} == expect
-
-    def test_three_point_chain(self):
-        ps = grid_points(3, 1)
-        assert np.allclose(ps.points.ravel(), [0.0, 1 / 3, 2 / 3])
-
-    def test_non_power_rejected(self):
-        with pytest.raises(ValueError):
-            grid_points(8, 2)
-
     def test_grid_side_roundoff_guard(self):
         # 125**(1/3) floats to 4.9999...; the exact-power check must not care
         assert grid_side(125, 3) == 5
@@ -236,13 +150,11 @@ class TestGridPoints:
             grid_side(n, d)
 
     def test_nearest_neighbor_spacing(self):
-        ps = grid_points(16, 2)
-        pts = ps.points
-        m = MetricSpec(INF)
-        for i in range(ps.n):
-            dists = [torus_distance(pts[i], pts[j], m)
-                     for j in range(ps.n) if j != i]
-            assert min(dists) == 0.25
+        pts = lattice(4, 2).points
+        # Chebyshev distance between every two lattice points, wrapped
+        dist = wrapped(pts[:, None], pts[None, :]).max(axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        assert np.all(dist.min(axis=1) == 0.25)
 
 
 class TestPointsCsv:
@@ -255,13 +167,13 @@ class TestPointsCsv:
         assert np.array_equal(back.points, ps.points)
 
     def test_header_line(self, tmp_path):
-        ps = grid_points(9, 2)
+        ps = lattice(3, 2)
         path = tmp_path / "points.csv"
         write_points_csv(ps, path)
         assert path.read_text().splitlines()[0] == "2,9"
 
     def test_one_dim_round_trip(self, tmp_path):
-        ps = grid_points(5, 1)
+        ps = lattice(5, 1)
         path = tmp_path / "points.csv"
         write_points_csv(ps, path)
         back = read_points_csv(path)
@@ -273,8 +185,11 @@ class TestPointsCsv:
         ("2,1\n0.1,0.2,0.3\n", "expected 2 columns"),
         ("2,2\n0.1\n0.2\n", "expected 2 columns"),
         ("2,2\n0.1,0.2\n", "expected 2 rows of 2 coordinates"),
+        ("-1,0\n", "dimension -1 below 1"),
+        ("-1,1\n0.1\n", "dimension -1 below 1"),
+        ("2,-1\n", "negative point count -1"),
     ], ids=["short-header", "long-header", "wide-body", "narrow-body",
-            "missing-row"])
+            "missing-row", "negative-dim-empty", "negative-dim", "negative-count"])
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "points.csv"
         path.write_text(text)

@@ -583,6 +583,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge(args, _OPTS[args.command])
         _apply_threads(cfg)
+        if cfg.get("seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {cfg['seed']}")
         # a bad --out fails here, before any work
         outdir = Path(_require(cfg, "out"))
         outdir.mkdir(parents=True, exist_ok=True)

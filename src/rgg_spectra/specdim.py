@@ -48,15 +48,18 @@ MC_R2_GATE = 0.9
 MC_BATCH = 4096
 _MC_GROUP = 4
 _MC_WIDTH = _MC_GROUP * MC_BATCH
-# Walk steps drawn per rng.integers call.  Any block size reads the same
-# stream as one call per step: PCG64 keeps a half-used 32-bit word across
-# calls, Lemire rejection skips single words, and the draws fill the block
-# in row-major (step-major) order.  Int32 draws read the same words as
-# int64 draws, since both take Lemire's 32-bit path for any range below
-# 2^32.  Each walking thread holds one (_MC_BLOCK, 16,384) int32 block,
-# 512 KiB, and about 860 KiB with its walker vectors and the transient
-# draw and index temporaries.  16-step blocks were no faster on two
-# threads and cost 1.2 MB more peak RSS.
+# Walk steps drawn per block.  Any block size reads the same stream as one
+# rng.integers(0, degree, dtype=np.int32) call per step: the steps are read
+# from the batch's raw PCG64 words by numpy's own rule (_StepDraws), one
+# 32-bit half-word at a time with the pending half carried across blocks,
+# and fill the block in row-major (step-major) order.  Int32 draws read the
+# same words as int64 draws, since both take Lemire's 32-bit path for any
+# range below 2^32.  Each walking thread holds one (_MC_BLOCK, 16,384)
+# int32 block, 512 KiB, and about 1,000 KiB with its walker vectors, the
+# transient raw words and the multiply's cast buffers (1,120 KiB at
+# degrees that are not powers of two, for the skip test's product).
+# 16-step blocks were no faster on two threads and cost 1.2 MB more peak
+# RSS.
 _MC_BLOCK = 8
 
 
@@ -211,6 +214,50 @@ def _walk_threads(walkers: int) -> int:
     return max(1, min(_blas_threads() or 1, -(-walkers // _MC_WIDTH)))
 
 
+class _StepDraws:
+    """The draws of rng.integers(0, degree, dtype=np.int32), read from raw words.
+
+    numpy draws a bounded int32 by Lemire's rule on 32-bit words, taking
+    each 64-bit PCG64 output low half first and keeping the high half for
+    the next draw.  This reader picks up that pending half from rng's state
+    and then reads random_raw words the same way.  A word w is skipped when
+    (w * degree) mod 2^32 < 2^32 mod degree; the test reads w alone, so
+    rejection filters the stream.  A kept word draws
+    floor(w * degree / 2^32), one float64 product that is exact while
+    w * degree < 2^53, that is for degree < 2^21.  Once made, the reader
+    owns rng's stream: rng must draw nothing more.
+    """
+
+    def __init__(self, rng: np.random.Generator, degree: int):
+        state = rng.bit_generator.state
+        self.raw = rng.bit_generator.random_raw
+        self.degree = np.uint32(degree)
+        self.threshold = np.uint32((1 << 32) % degree)
+        self.scale = degree * 2.0 ** -32
+        self.pending = np.array([state["uinteger"]] * state["has_uint32"],
+                                dtype=np.uint32)
+
+    def __call__(self, out: np.ndarray) -> None:
+        """Fill the int32 array `out` with draws in row-major order."""
+        parts, need = [], out.size
+        while need:
+            # at most need + 1 words, so at most one is left pending
+            words = self.raw(-(-(need - self.pending.size) // 2)).astype(
+                "<u8", copy=False).view("<u4")
+            if self.pending.size:
+                words = np.concatenate((self.pending, words))
+            if self.threshold:
+                low = words * self.degree
+                if low.min() < self.threshold:
+                    words = words[low >= self.threshold]
+            self.pending = words[need:].copy()
+            parts.append(words[:need])
+            need -= parts[-1].size
+        words = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        np.multiply(words.reshape(out.shape), self.scale, out=out,
+                    casting="unsafe")
+
+
 def _walk_groups(table: np.ndarray, n: int, degree: int, t_max: int,
                  walkers: int, seed, groups) -> np.ndarray:
     """Return counts of the walker groups `groups`, in this thread's buffers.
@@ -224,20 +271,20 @@ def _walk_groups(table: np.ndarray, n: int, degree: int, t_max: int,
     hit = np.empty(_MC_WIDTH, dtype=bool)
     for group in groups:
         size = min(_MC_WIDTH, walkers - group * _MC_WIDTH)
-        batches = [(np.random.default_rng([seed, group * _MC_GROUP + i]),
-                    lo, min(lo + MC_BATCH, size))
-                   for i, lo in enumerate(range(0, size, MC_BATCH))]
         s, p, ix, h = start[:size], pos[:size], idx[:size], hit[:size]
-        for rng, lo, hi in batches:
+        batches = []
+        for i, lo in enumerate(range(0, size, MC_BATCH)):
+            hi = min(lo + MC_BATCH, size)
+            rng = np.random.default_rng([seed, group * _MC_GROUP + i])
             s[lo:hi] = rng.integers(0, n, size=hi - lo, dtype=np.int32)
+            batches.append((_StepDraws(rng, degree), lo, hi))
         s *= degree
         p[:] = s
         counts[0] += size
         for t0 in range(1, t_max + 1, _MC_BLOCK):
             steps = min(_MC_BLOCK, t_max + 1 - t0)
-            for rng, lo, hi in batches:
-                block[:steps, lo:hi] = rng.integers(
-                    0, degree, size=(steps, hi - lo), dtype=np.int32)
+            for draw, lo, hi in batches:
+                draw(block[:steps, lo:hi])
             for t, choice in enumerate(block[:steps, :size], t0):
                 np.add(p, choice, out=ix)
                 # indices are in range by construction; "clip" lets take
@@ -255,13 +302,19 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
     Requires a regular graph so that the step operator is A/degree and the
     expectation of the return frequency equals (1/n) sum_i nu_i^t over the
     transition eigenvalues nu_i.  Walkers are simulated in fixed-size
-    batches with streams keyed by (seed, batch index), and within a batch
-    the steps are drawn in blocks from the same stream that one draw per
-    step would read.  The batches run, _MC_GROUP at a time, on the BLAS
-    thread count in effect (`--threads`, RGG_SPECTRA_THREADS), each thread
-    adding into its own integer counts, so the frequencies are bit-identical
-    for every block size and every thread count.  The walk runs in int32,
-    so n * degree must fit in it; CapacityError otherwise.
+    batches with streams keyed by (seed, batch index).  A batch draws its
+    start nodes with rng.integers, then reads its steps in blocks straight
+    from the stream's raw PCG64 words by numpy's bounded-int32 rule: the
+    Generator's pending 32-bit half-word first, then each 64-bit word low
+    half first, skipping a word w when (w * degree) mod 2^32 is below
+    2^32 mod degree, and mapping a kept word to floor(w * degree / 2^32).
+    So the steps are the draws one rng.integers call per step would make.
+    The batches run, _MC_GROUP at a time, on the BLAS thread count in
+    effect (`--threads`, RGG_SPECTRA_THREADS), each thread adding into its
+    own integer counts, so the frequencies are bit-identical for every
+    block size and every thread count.  The walk runs in int32, so
+    n * degree must fit in it, and the float64 step mapping is exact only
+    for degree < 2^21; CapacityError otherwise.
     """
     if np.any(g.degrees == 0):
         raise ValueError("graph has a zero-degree node; walks are undefined")
@@ -273,6 +326,10 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
     if len(g.indices) > np.iinfo(np.int32).max:
         raise CapacityError(
             f"n * degree = {len(g.indices)} exceeds the int32 walk table")
+    if degree >= 1 << 21:
+        raise CapacityError(
+            f"degree {degree} is at least 2^21; the step draws are exact "
+            f"only below it")
     # Walkers carry node * degree, so the neighbor table is flat and one
     # step is an add and a take: table[pos + choice] = neighbor * degree.
     table = g.indices.astype(np.int32)

@@ -268,6 +268,12 @@ class TestUsageErrors:
         (["spectrum", "--kind", "rgg", "--d", "1", "--n", "64", "--gamma",
           "nan"], "gamma must be positive"),
         (["specdim", "--N", "8"], "need --gamma or --gamma-prime"),
+        (["spectrum", "--kind", "rgg", "--d", "1", "--n", "64", "--gamma",
+          "4", "--seed", "-1"], "--seed must be >= 0"),
+        (["specdim", "--d", "1", "--N", "64", "--gamma-prime", "4",
+          "--methods", "mc", "--seed", "-1"], "--seed must be >= 0"),
+        (["diffusion", "--d", "1", "--N", "64", "--gamma-prime", "4",
+          "--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_bad_parameter_exits_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"

@@ -35,6 +35,7 @@ from rgg_spectra import (
 )
 from rgg_spectra.specdim import (
     _MC_BLOCK,
+    _StepDraws,
     CDF_MIN_POINTS,
     CDF_WINDOW_FRACTION,
     HEAT_R2_GATE,
@@ -270,6 +271,80 @@ def reference_walk(g, t_max, walkers, seed):
     return counts / walkers
 
 
+class WordStream:
+    """A stand-in Generator whose bit generator hands out chosen 32-bit words."""
+
+    def __init__(self, words):
+        words = np.asarray(words, dtype="<u4")
+        self.words = np.append(words, np.zeros(words.size % 2, "<u4")).view("<u8")
+        self.bit_generator = self
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, size):
+        raw, self.words = self.words[:size], self.words[size:]
+        return raw
+
+
+def kept_draws(words, degree):
+    """Lemire's rule in Python integers: skip, then the high word of w * degree."""
+    t = (1 << 32) % degree
+    return [(w * degree) >> 32 for w in words if (w * degree) % (1 << 32) >= t]
+
+
+class TestStepDraws:
+    @pytest.mark.parametrize("degree", [1, 2, 6, 8, 24, 26, 48, 46340])
+    def test_equal_to_numpy_draws(self, degree):
+        ref, rng = (np.random.default_rng([5, degree]) for _ in range(2))
+        for r in (ref, rng):
+            r.integers(0, 4095, size=7, dtype=np.int32)
+        # the odd start draw left a high half-word for the steps to take
+        assert rng.bit_generator.state["has_uint32"]
+        draw = _StepDraws(rng, degree)
+        # odd sizes carry a half-word from call to call; the (3, 5) slice of
+        # a wider block is filled in row-major order, as the walk fills it
+        block = np.empty((4, 9), dtype=np.int32)
+        for shape in (1, 3, (3, 5), 4097, 5, 8 * MC_BATCH + 1, 2, 1):
+            out = block[:3, 2:7] if shape == (3, 5) else np.empty(shape, np.int32)
+            draw(out)
+            expect = ref.integers(0, degree, size=shape, dtype=np.int32)
+            assert np.array_equal(out, expect), shape
+
+    def test_skips_the_words_numpy_skips(self):
+        degree, size = 46337, 1 << 20
+        assert (1 << 32) % degree  # a nonzero skip threshold
+        ref, rng = (np.random.default_rng(3) for _ in range(2))
+        draw = _StepDraws(rng, degree)
+        raw, taken = draw.raw, []
+
+        def counted(k):
+            taken.append(k)
+            return raw(k)
+
+        draw.raw = counted
+        out = np.empty(size, dtype=np.int32)
+        draw(out)
+        assert np.array_equal(
+            out, ref.integers(0, degree, size=size, dtype=np.int32))
+        assert 2 * sum(taken) - draw.pending.size > size
+
+    @pytest.mark.parametrize("degree", [46337, 46340])
+    def test_words_just_below_each_multiple(self, degree):
+        # w * degree just below k * 2^32 is where a rounded product would
+        # floor to k instead of k - 1
+        k = np.arange(1, degree, dtype=object)
+        below = (k * (1 << 32) - 1) // degree
+        words = [int(w) for pair in zip(below, below + 1) for w in pair]
+        if degree % 2:
+            # k * 2^32 = j (mod degree) puts w * degree exactly j below it
+            k0 = pow(1 << 32, -1, degree)
+            words += [(j * k0 % degree * (1 << 32) - j) // degree
+                      for j in range(1, 1000)]
+        expect = kept_draws(words, degree)
+        out = np.empty(len(expect), dtype=np.int32)
+        _StepDraws(WordStream(words), degree)(out)
+        assert out.tolist() == expect
+
+
 # (n, d, k, degree); 24 and 26 are not powers of 2
 WALK_GRAPHS = [
     (16, 1, 1, 2), (16, 1, 2, 4), (64, 2, 1, 8), (49, 2, 2, 24),
@@ -306,6 +381,23 @@ class TestRandomWalks:
                            indices=np.broadcast_to(np.int64(0), (n * degree,)))
         with pytest.raises(CapacityError, match="int32"):
             mc_return_probability(g, 4, 100, 0)
+
+    def test_step_draws_exact_only_below_two_to_the_21(self):
+        # a two-node multigraph of degree 2^21; nothing is allocated
+        degree = 1 << 21
+        g = GeometricGraph(kind="dgg", n=2, dim=1, p=INF, radius=0.5,
+                           indptr=np.arange(3, dtype=np.int64) * degree,
+                           indices=np.broadcast_to(np.int64(0), (2 * degree,)))
+        with pytest.raises(CapacityError, match="2\\^21"):
+            mc_return_probability(g, 4, 100, 0)
+
+    def test_one_regular_walk_alternates(self):
+        # numpy draws no words at range 1; the raw reader's words change nothing
+        g = GeometricGraph(kind="dgg", n=2, dim=1, p=INF, radius=0.5,
+                           indptr=np.array([0, 1, 2]), indices=np.array([1, 0]))
+        freq = mc_return_probability(g, 9, 4097, 1)
+        assert freq.tolist() == [1.0, 0.0] * 5
+        assert np.array_equal(freq, reference_walk(g, 9, 4097, 1))
 
     def test_peak_memory_is_the_table_plus_one_mib_per_thread(self, monkeypatch):
         g = build_dgg(4096, 2, dgg_radius(1, 64))

@@ -13,7 +13,7 @@ denominator equals degree + alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import mmap
 
 import numpy as np
 
@@ -21,52 +21,93 @@ from .analytic import _check_alpha
 from .errors import SingularityError
 from .graphs import GeometricGraph
 
+_T = 256  # rows per assembly block, and the side of a scan or mirror tile
 
-@dataclass(frozen=True)
+
 class RegNormLaplacian:
-    """Symmetric dense operator together with its construction context."""
+    """Symmetric dense operator together with its construction context.
 
-    n: int
-    alpha: float
-    matrix: np.ndarray
+    A matrix passed in is scanned for symmetry and finiteness.  An
+    assembled operator holds only its upper triangle, in a buffer whose
+    strict lower triangle is never written; `matrix` mirrors it in place on
+    its first read.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.n, self.n):
-            raise ValueError(f"matrix must be {self.n}x{self.n}")
+    def __init__(self, n: int, alpha: float, matrix):
+        m = np.asarray(matrix, dtype=float)
+        if m.shape != (n, n):
+            raise ValueError(f"matrix must be {n}x{n}")
         # each upper-triangle tile against its mirror, so every pair is read
         # once and the temporaries stay one tile (512 KB of float64)
-        T = 256
-        for i in range(0, self.n, T):
-            for j in range(i, self.n, T):
-                diff = m[i:i + T, j:j + T] - m[j:j + T, i:i + T].T
+        for i in range(0, n, _T):
+            for j in range(i, n, _T):
+                diff = m[i:i + _T, j:j + _T] - m[j:j + _T, i:i + _T].T
                 np.abs(diff, out=diff)
                 # not <=, so NaN and inf entries, whose differences are NaN,
                 # fail too
                 if not np.max(diff, initial=0.0) <= 1e-14:
                     raise ValueError(
                         "matrix must be finite and symmetric to 1e-14")
-        object.__setattr__(self, "matrix", m)
+        self.n, self.alpha = n, alpha
+        self._upper, self._mirrored = m, True
+
+    @classmethod
+    def _of_upper(cls, n: int, alpha: float,
+                  upper: np.ndarray) -> RegNormLaplacian:
+        """The operator whose upper triangle `upper` holds, not scanned."""
+        L = cls.__new__(cls)
+        L.n, L.alpha = n, alpha
+        L._upper, L._mirrored = upper, False
+        return L
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full symmetric matrix, mirrored tile by tile on first read."""
+        if not self._mirrored:
+            m = self._upper
+            for i in range(0, self.n, _T):
+                for j in range(0, i, _T):
+                    m[i:i + _T, j:j + _T] = m[j:j + _T, i:i + _T].T
+                t = m[i:i + _T, i:i + _T]
+                np.copyto(t, t.T, where=np.tri(len(t), k=-1, dtype=bool))
+            self._mirrored = True
+        return self._upper
 
 
 def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
-    """eye(n) - (A + alpha/n) * outer(s, s), built in one n x n buffer."""
+    """The upper triangle of eye(n) - (A + alpha/n) * outer(s, s).
+
+    It is written in blocks of _T rows, m[i0:i1, i0:], into a fresh
+    anonymous mapping, so the pages under the strict lower triangle are
+    never touched and hold no memory.  The mapping is advised against huge
+    pages, which would back those pages too on hosts that give every large
+    mapping huge pages.  No scan is needed: alpha is finite and every
+    deg + alpha is positive, and each entry is a product of s_i and s_j,
+    which commute, so the mirrored matrix is bitwise symmetric.
+    """
     _check_alpha(alpha)
     if alpha == 0 and np.any(g.degrees == 0):
         raise SingularityError(
             "alpha = 0 requires minimum degree >= 1 (isolated vertex present)")
     n = g.n
     s = 1.0 / np.sqrt(g.degrees + alpha)
-    # (A_ij + alpha/n) * s_i * s_j is bitwise symmetric: products commute
-    L = np.multiply.outer(s, s)
-    rows = np.repeat(np.arange(n), g.degrees)
-    edge = (1.0 + alpha / n) * L[rows, g.indices]
-    L *= alpha / n
-    L[rows, g.indices] = edge
-    # 0.0 - x, not -x: an entry of M equal to +0.0 stays +0.0, as in eye - M
-    np.subtract(0.0, L, out=L)
-    L.flat[::n + 1] += 1.0
-    return RegNormLaplacian(n=n, alpha=alpha, matrix=L)
+    buf = mmap.mmap(-1, 8 * max(n * n, 1))  # mmap rejects length 0
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    m = np.frombuffer(buf, np.float64, n * n).reshape(n, n)
+    for i0 in range(0, n, _T):
+        i1 = min(i0 + _T, n)
+        b = m[i0:i1, i0:]
+        np.multiply.outer(s[i0:i1], s[i0:], out=b)
+        e = g._row_edges(i0, i1) - i0
+        edge = (1.0 + alpha / n) * b[e[:, 0], e[:, 1]]
+        b *= alpha / n
+        b[e[:, 0], e[:, 1]] = edge
+        # 0.0 - x, not -x: an entry of M equal to +0.0 stays +0.0, as in eye - M
+        np.subtract(0.0, b, out=b)
+        d = np.arange(i1 - i0)
+        b[d, d] += 1.0
+    return RegNormLaplacian._of_upper(n, alpha, m)
 
 
 def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:

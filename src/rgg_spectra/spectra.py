@@ -118,12 +118,13 @@ def _eigvalsh(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Ascending eigenvalues of symmetric a by LAPACK's two-stage dsyevd_2stage.
 
     Solves a copy, so a is left as it was; with overwrite, a C-ordered,
-    writeable float64 a is solved in place and destroyed.  The eigvalsh
-    fallback ignores overwrite and always solves a copy.  LAPACK reads the
+    writeable float64 a is solved in place and destroyed.  LAPACK reads the
     C-ordered buffer as its transpose, so uplo "L", whose band reduction is
     the faster one, reads the upper triangle; eigvalsh reads the lower.  The
     assembled operators are bitwise symmetric, so both read the same values.
     Falls back to eigvalsh when numpy's OpenBLAS does not export the routine.
+    That fallback ignores overwrite: numpy copies a, so a solve there holds
+    two n x n matrices, a and the copy.
     """
     solve = _openblas(*_DSYEVD_2STAGE)
     if solve is None:
@@ -157,12 +158,15 @@ def full_spectrum(L: RegNormLaplacian, *,
                   overwrite: bool = False) -> SpectralDistribution:
     """Dense symmetric eigensolve of the whole operator.
 
-    overwrite solves L.matrix in place and destroys it, saving one n x n
-    copy on the dsyevd_2stage route (the eigvalsh fallback still copies);
-    only an owner of L that never reads it again may set it.
+    The dsyevd_2stage route solves the upper triangle L holds, unmirrored:
+    a copy of it, or with overwrite that triangle in place, which destroys
+    L and saves one n x n copy; only an owner of L that never reads it
+    again may set overwrite.  The eigvalsh fallback solves a copy of the
+    mirrored L.matrix, so it holds two n x n matrices whatever overwrite is.
     """
     _check_dense_cap(L.n)
-    return SpectralDistribution.from_values(_eigvalsh(L.matrix, overwrite))
+    a = L._upper if _openblas(*_DSYEVD_2STAGE) else L.matrix
+    return SpectralDistribution.from_values(_eigvalsh(a, overwrite))
 
 
 def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:

@@ -99,21 +99,44 @@ class TestAssembly:
         with pytest.raises(ValueError, match="finite"):
             RegNormLaplacian(n=4, alpha=0.0, matrix=m)
 
+    # orders on both sides of the 256-row assembly block, so that the
+    # mirrored matrix is checked across partial blocks
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
     def test_rgg_bitwise_equals_reference(self, alpha):
-        g = build_rgg(sample_uniform_points(300, 2, 4), 0.1)
-        assert g.degrees.min() > 0 and len(set(g.degrees.tolist())) > 1
-        L = assemble_rgg_laplacian(g, alpha).matrix
-        # bytes, not values, so that a -0.0 where the reference has +0.0 fails
-        assert L.tobytes() == reference_matrix(
-            g, alpha, g.degrees.astype(float)).tobytes()
+        for n in (255, 256, 257, 300, 513):
+            g = build_rgg(sample_uniform_points(n, 2, 4), 0.1)
+            assert g.degrees.min() > 0 and len(set(g.degrees.tolist())) > 1
+            L = assemble_rgg_laplacian(g, alpha).matrix
+            # bytes, not values, so that a -0.0 where the reference has +0.0
+            # fails
+            assert L.tobytes() == reference_matrix(
+                g, alpha, g.degrees.astype(float)).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
     def test_dgg_bitwise_equals_reference(self, alpha):
-        for g in (matched_grid(4, 128, 1), build_dgg(144, 2, 0.2)):
+        chains = [build_dgg(n, 1, dgg_radius(5, n)) for n in (255, 256, 257, 513)]
+        for g in (matched_grid(4, 128, 1), build_dgg(144, 2, 0.2), *chains):
             L = assemble_dgg_laplacian(g, alpha).matrix
             degree = np.full(g.n, float(g.degrees[0]))
             assert L.tobytes() == reference_matrix(g, alpha, degree).tobytes()
+
+    @pytest.mark.parametrize("assemble", [assemble_rgg_laplacian,
+                                          assemble_dgg_laplacian])
+    def test_single_node_bitwise_equals_reference(self, assemble):
+        g = build_rgg(sample_uniform_points(1, 2, 4), 0.1)
+        with pytest.raises(SingularityError):  # its one node has degree 0
+            assemble(g, 0.0)
+        for alpha in (0.1, 1.0):
+            L = assemble(g, alpha).matrix
+            assert L.tobytes() == reference_matrix(
+                g, alpha, g.degrees.astype(float)).tobytes()
+
+    @pytest.mark.parametrize("n", [257, 513])
+    def test_mirrored_matrix_passes_the_scan(self, n):
+        for g in (build_rgg(sample_uniform_points(n, 2, 4), 0.1),
+                  build_dgg(n, 1, dgg_radius(5, n))):
+            L = assemble_rgg_laplacian(g, 0.1)
+            RegNormLaplacian(n, 0.1, L.matrix)
 
 
 class TestGridEntries:

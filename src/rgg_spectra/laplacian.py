@@ -21,16 +21,41 @@ from .analytic import _check_alpha
 from .errors import SingularityError
 from .graphs import GeometricGraph
 
-_T = 256  # rows per assembly block, and the side of a scan or mirror tile
+_T = 256  # rows per assembly or copy block, side of a scan or mirror tile
+
+
+def _mapped(n: int) -> np.ndarray:
+    """A fresh n x n float64 array in an anonymous mapping, its pages untouched.
+
+    A page holds no memory until it is written, so an array whose strict
+    lower triangle is never written costs about half an n x n matrix.  The
+    mapping is advised against huge pages, which would back those pages too
+    on hosts that give every large mapping huge pages.
+    """
+    buf = mmap.mmap(-1, 8 * max(n * n, 1))  # mmap rejects length 0
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, np.float64, n * n).reshape(n, n)
+
+
+def _upper_copy(m: np.ndarray) -> np.ndarray:
+    """Square m's upper triangle, copied into _mapped in blocks of _T rows."""
+    u = _mapped(len(m))
+    for i in range(0, len(m), _T):
+        u[i:i + _T, i:] = m[i:i + _T, i:]
+    return u
 
 
 class RegNormLaplacian:
     """Symmetric dense operator together with its construction context.
 
-    A matrix passed in is scanned for symmetry and finiteness.  An
-    assembled operator holds only its upper triangle, in a buffer whose
-    strict lower triangle is never written; `matrix` mirrors it in place on
-    its first read.
+    Every operator owns its upper triangle, in a fresh mapping whose strict
+    lower triangle is never written; the solvers read only that triangle,
+    and `matrix` mirrors it in place on its first read.  A matrix passed in
+    is scanned for symmetry and finiteness, then its upper triangle is
+    copied, so the operator costs one triangle and never aliases the
+    caller's array.  A matrix symmetric only to 1e-14 is thus seen, by the
+    solvers, by `matrix` and by trace_bound, as its mirrored upper triangle.
     """
 
     def __init__(self, n: int, alpha: float, matrix):
@@ -49,16 +74,7 @@ class RegNormLaplacian:
                     raise ValueError(
                         "matrix must be finite and symmetric to 1e-14")
         self.n, self.alpha = n, alpha
-        self._upper, self._mirrored = m, True
-
-    @classmethod
-    def _of_upper(cls, n: int, alpha: float,
-                  upper: np.ndarray) -> RegNormLaplacian:
-        """The operator whose upper triangle `upper` holds, not scanned."""
-        L = cls.__new__(cls)
-        L.n, L.alpha = n, alpha
-        L._upper, L._mirrored = upper, False
-        return L
+        self._upper, self._mirrored = _upper_copy(m), False
 
     @property
     def matrix(self) -> np.ndarray:
@@ -77,13 +93,10 @@ class RegNormLaplacian:
 def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     """The upper triangle of eye(n) - (A + alpha/n) * outer(s, s).
 
-    It is written in blocks of _T rows, m[i0:i1, i0:], into a fresh
-    anonymous mapping, so the pages under the strict lower triangle are
-    never touched and hold no memory.  The mapping is advised against huge
-    pages, which would back those pages too on hosts that give every large
-    mapping huge pages.  No scan is needed: alpha is finite and every
-    deg + alpha is positive, and each entry is a product of s_i and s_j,
-    which commute, so the mirrored matrix is bitwise symmetric.
+    It is written in blocks of _T rows, m[i0:i1, i0:], into _mapped, and the
+    operator owns it without a copy.  No scan is needed: alpha is finite
+    and every deg + alpha is positive, and each entry is a product of s_i
+    and s_j, which commute, so the mirrored matrix is bitwise symmetric.
     """
     _check_alpha(alpha)
     if alpha == 0 and np.any(g.degrees == 0):
@@ -91,10 +104,7 @@ def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
             "alpha = 0 requires minimum degree >= 1 (isolated vertex present)")
     n = g.n
     s = 1.0 / np.sqrt(g.degrees + alpha)
-    buf = mmap.mmap(-1, 8 * max(n * n, 1))  # mmap rejects length 0
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    m = np.frombuffer(buf, np.float64, n * n).reshape(n, n)
+    m = _mapped(n)
     for i0 in range(0, n, _T):
         i1 = min(i0 + _T, n)
         b = m[i0:i1, i0:]
@@ -107,7 +117,9 @@ def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
         np.subtract(0.0, b, out=b)
         d = np.arange(i1 - i0)
         b[d, d] += 1.0
-    return RegNormLaplacian._of_upper(n, alpha, m)
+    L = RegNormLaplacian.__new__(RegNormLaplacian)
+    L.n, L.alpha, L._upper, L._mirrored = n, alpha, m, False
+    return L
 
 
 def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:

@@ -532,6 +532,25 @@ class TestThreadControl:
             returns.append((out / "mc_returns.csv").read_bytes())
         assert returns[0] == returns[1]
 
+    def test_dense_eigenvalues_identical_across_thread_counts(self, tmp_path):
+        # the claim holds on the two-stage route only: the eigvalsh
+        # fallback's eigenvalues differ across thread counts by rounding
+        src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "rgg_spectra.cli", "spectrum", "--kind",
+                 "rgg", "--d", "1", "--n", "1024", "--gamma", "16", "--seed",
+                 "0", "--threads", str(threads), "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": src}, check=True,
+                capture_output=True, text=True)
+            runs.append((read_manifest(out)["eigensolver"],
+                         (out / "eigenvalues.csv").read_bytes()))
+        if {route for route, _ in runs} != {"dsyevd_2stage"}:
+            pytest.skip("the loaded BLAS exports no dsyevd_2stage")
+        assert runs[0][1] == runs[1][1]
+
     def test_nonpositive_threads_rejected(self, tmp_path):
         code = main(["analytic-spectrum", "--d", "1", "--N", "8",
                      "--gamma-prime", "4", "--threads", "0",

@@ -147,6 +147,12 @@ def test_csv_io_goes_through_one_writer_and_one_reader():
     assert readers == {"torus._read_csv"}
 
 
+def test_one_allocator_maps_the_dense_operators():
+    # assembly and every triangle copy take their n x n array from
+    # laplacian._mapped, whose pages stay untouched until written
+    assert [where for where, _ in named_calls("mmap")] == ["laplacian._mapped"]
+
+
 def test_one_call_parses_csv_text():
     # np.loadtxt allocates the whole body from _read_csv's line count
     assert [where for where, _ in named_calls("loadtxt")] == ["torus._read_csv"]

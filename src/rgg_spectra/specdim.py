@@ -178,13 +178,16 @@ def find_heat_horizon(spec: SpectralDistribution,
             raise EstimationError(
                 f"heat-trace signal still above {HEAT_SIGNAL_THRESHOLD} at "
                 f"t = {hi:.3g}; the spectrum has a negative eigenvalue")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
+    # geometric bisection until the midpoint rounds to an end, after which
+    # no step would change lo or hi
+    mid = math.sqrt(lo * hi)
+    while lo < mid < hi:
         if _p0(spec, mid, buf) - offset > HEAT_SIGNAL_THRESHOLD:
             lo = mid
         else:
             hi = mid
-    return math.sqrt(lo * hi)
+        mid = math.sqrt(lo * hi)
+    return mid
 
 
 def default_heat_grid(spec: SpectralDistribution) -> np.ndarray:
@@ -299,9 +302,9 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
                           seed) -> np.ndarray:
     """Per-step return frequencies of uniform-neighbor random walks.
 
-    Requires a regular graph so that the step operator is A/degree and the
-    expectation of the return frequency equals (1/n) sum_i nu_i^t over the
-    transition eigenvalues nu_i.  Walkers are simulated in fixed-size
+    Requires a nonempty regular graph so that the step operator is
+    A/degree and the expectation of the return frequency equals
+    (1/n) sum_i nu_i^t over the transition eigenvalues nu_i.  Walkers are simulated in fixed-size
     batches with streams keyed by (seed, batch index).  A batch draws its
     start nodes with rng.integers, then reads its steps in blocks straight
     from the stream's raw PCG64 words by numpy's bounded-int32 rule: the
@@ -316,6 +319,8 @@ def mc_return_probability(g: GeometricGraph, t_max: int, walkers: int,
     n * degree must fit in it, and the float64 step mapping is exact only
     for degree < 2^21; CapacityError otherwise.
     """
+    if g.n == 0:
+        raise ValueError("graph has no nodes; walks are undefined")
     if np.any(g.degrees == 0):
         raise ValueError("graph has a zero-degree node; walks are undefined")
     degree = int(g.degrees[0])

@@ -3,7 +3,7 @@
 import numpy as np
 
 from rgg_spectra import TorusPointSet, build_dgg, dgg_degree
-from rgg_spectra import cli
+from rgg_spectra import _commands
 
 
 def lattice(N, d):
@@ -14,4 +14,5 @@ def lattice(N, d):
 def matched_grid(gamma, N, d):
     """The grid that `spectrum --kind dgg --gamma`, `specdim` and
     `diffusion` build for mean degree gamma on the N^d lattice."""
-    return build_dgg(N ** d, d, cli._grid_radius(dgg_degree(gamma, d), d, N))
+    radius = _commands._grid_radius(dgg_degree(gamma, d), d, N)
+    return build_dgg(N ** d, d, radius)

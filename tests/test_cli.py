@@ -532,7 +532,9 @@ class TestThreadControl:
             returns.append((out / "mc_returns.csv").read_bytes())
         assert returns[0] == returns[1]
 
-    def test_dense_eigenvalues_identical_across_thread_counts(self, tmp_path):
+    @pytest.mark.parametrize("d,gamma", [(1, 16), (2, 12)])
+    def test_dense_eigenvalues_identical_across_thread_counts(self, tmp_path,
+                                                              d, gamma):
         # the claim holds on the two-stage route only: the eigvalsh
         # fallback's eigenvalues differ across thread counts by rounding
         src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
@@ -541,8 +543,8 @@ class TestThreadControl:
             out = tmp_path / f"threads{threads}"
             subprocess.run(
                 [sys.executable, "-m", "rgg_spectra.cli", "spectrum", "--kind",
-                 "rgg", "--d", "1", "--n", "1024", "--gamma", "16", "--seed",
-                 "0", "--threads", str(threads), "--out", str(out)],
+                 "rgg", "--d", str(d), "--n", "1024", "--gamma", str(gamma),
+                 "--seed", "0", "--threads", str(threads), "--out", str(out)],
                 env={**os.environ, "PYTHONPATH": src}, check=True,
                 capture_output=True, text=True)
             runs.append((read_manifest(out)["eigensolver"],

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import rgg_spectra
@@ -121,6 +122,46 @@ def named_calls(name):
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, f"{path.stem}.<module>")
     return calls
+
+
+def function_imports(module):
+    """(function, imported name, line) of every import inside a function of
+    a package module, relative names with their dots: `from . import x`
+    gives ".x"."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif where and isinstance(node, ast.Import):
+            found.extend((where, a.name, node.lineno) for a in node.names)
+        elif where and isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level + (node.module + "." if node.module else "")
+            found.extend((where, prefix + a.name, node.lineno) for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse((PACKAGE_DIR / f"{module}.py").read_text()), None)
+    return found
+
+
+def test_cli_imports_numeric_code_only_after_the_thread_pin():
+    # `--threads` pins BLAS only if nothing numeric loads before
+    # _apply_threads: main imports the handlers' module once, after the
+    # pin, and that module imports everything at its top
+    imports = function_imports("cli")
+    assert [(where, name) for where, name, _ in imports] == [("main", "._commands")]
+    pin = next(node.lineno for where, node in named_calls("_apply_threads")
+               if where == "cli.main")
+    assert pin < imports[0][2]
+    assert function_imports("_commands") == []
+    roots = set()
+    for node in ast.parse((PACKAGE_DIR / "cli.py").read_text()).body:
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("." * node.level + (node.module or ""))
+    assert sorted(roots - sys.stdlib_module_names) == [".", ".errors"]
 
 
 def open_calls():

@@ -26,6 +26,7 @@ from rgg_spectra import (
     heat_trace,
     mc_return_probability,
     mc_stderr,
+    read_graph_csv,
     regularizer_gap,
     sample_uniform_points,
     shift_spectrum,
@@ -183,6 +184,38 @@ class TestHeatHorizon:
         t_star = find_heat_horizon(sd)
         monkeypatch.setattr(specdim, "HEAT_SIGNAL_THRESHOLD", 1e-4)
         assert find_heat_horizon(sd) > t_star
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("t_lo", [1.0, 10.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("d,N,gp", [(1, 16, 4), (1, 256, 16), (1, 1024, 2),
+                                        (1, 4096, 16), (2, 16, 8), (2, 32, 24),
+                                        (2, 64, 8)])
+    def test_bitwise_equal_to_fixed_step_bisection(self, d, N, gp, alpha,
+                                                   t_lo, shifted):
+        # oracle: a fixed 200 bisection steps, far past the 52-57 after
+        # which the midpoint rounds to an end
+        sd = SpectralDistribution.from_values(analytic_spectrum(N, gp, alpha, d))
+        if shifted:
+            sd = shift_spectrum(sd, regularizer_gap(gp, alpha))
+        offset, buf = specdim._offset(sd), np.empty(sd.n)
+
+        def signal(t):
+            return specdim._p0(sd, t, buf) - offset
+
+        expect = t_lo
+        if signal(t_lo) > specdim.HEAT_SIGNAL_THRESHOLD:
+            lo = hi = t_lo
+            while signal(hi) > specdim.HEAT_SIGNAL_THRESHOLD:
+                hi *= 2.0
+            for _ in range(200):
+                mid = math.sqrt(lo * hi)
+                if signal(mid) > specdim.HEAT_SIGNAL_THRESHOLD:
+                    lo = mid
+                else:
+                    hi = mid
+            expect = math.sqrt(lo * hi)
+        assert find_heat_horizon(sd, t_lo=t_lo) == expect
 
     def test_default_grid_shape(self):
         sd = SpectralDistribution.from_values(analytic_spectrum(256, 4, 0.0, 1))
@@ -461,6 +494,15 @@ class TestRandomWalks:
         g = build_dgg(64, 1, 0.001)  # below one lattice step
         assert np.all(g.degrees == 0)
         with pytest.raises(ValueError, match="zero-degree"):
+            mc_return_probability(g, 8, 10, 0)
+
+    def test_empty_graph_rejected(self, tmp_path):
+        # a valid graph file with no nodes reads back as an empty graph
+        path = tmp_path / "graph.csv"
+        path.write_text("rgg,0,1,inf,0.1,\n")
+        g = read_graph_csv(path)
+        assert g.n == 0
+        with pytest.raises(ValueError, match="no nodes"):
             mc_return_probability(g, 8, 10, 0)
 
     def test_bad_sizes_rejected(self):

@@ -33,9 +33,17 @@ def _require(cfg: dict, name: str):
     return value
 
 
+def _side(cfg: dict) -> int:
+    """The grid side --N, which must be at least 1."""
+    N = _require(cfg, "N")
+    if N < 1:
+        raise ValueError(f"--N must be >= 1, got {N}")
+    return N
+
+
 def _lattice(cfg: dict) -> tuple[int, int]:
     """Grid side N and degree gamma' from --N and --gamma-prime or --gamma."""
-    N, d, gp = _require(cfg, "N"), cfg["d"], cfg["gamma_prime"]
+    N, d, gp = _side(cfg), cfg["d"], cfg["gamma_prime"]
     if gp is not None:
         analytic._odd_root(gp, d)
         return N, int(gp)
@@ -204,7 +212,7 @@ def _cmd_spectrum(cfg: dict) -> list:
             N, gp = _lattice(cfg)
             radius = _grid_radius(gp, d, N)
         else:
-            N = _require(cfg, "N")
+            N = _side(cfg)
         g = graphs.build_dgg(N ** d, d, radius, metric)
         if gp is not None and metric.p == torus.INF:
             analytic_ref = analytic.analytic_spectrum(N, gp, alpha, d)

@@ -276,10 +276,17 @@ def write_graph_csv(g: GeometricGraph, path) -> None:
 def read_graph_csv(path) -> GeometricGraph:
     (kind, n, dim, p, radius, seed_str), pairs = _read_csv(
         path, 6, lambda fields: 2, dtype=np.int64)
-    n = int(n)
+    n, dim, p, radius = int(n), int(dim), float(p), float(radius)
+    # the values the builders accept; the comparisons also reject NaN
     if n < 0:
         raise ValueError(f"negative node count {n} in {path}")
+    if dim < 1:
+        raise ValueError(f"dimension {dim} < 1 in {path}")
+    if not p >= 1.0:
+        raise ValueError(f"lp exponent {p} is not >= 1 in {path}")
+    if not 0.0 < radius < MAX_RADIUS:
+        raise ValueError(f"radius {radius} is not in (0, 0.5) in {path}")
     indptr, indices = _csr_from_pairs(n, pairs)
-    return GeometricGraph(kind=kind, n=n, dim=int(dim), p=float(p),
-                          radius=float(radius), indptr=indptr, indices=indices,
+    return GeometricGraph(kind=kind, n=n, dim=dim, p=p, radius=radius,
+                          indptr=indptr, indices=indices,
                           seed=int(seed_str) if seed_str else None)

@@ -21,7 +21,7 @@ from .analytic import _check_alpha
 from .errors import SingularityError
 from .graphs import GeometricGraph
 
-_T = 256  # rows per assembly or copy block, side of a scan or mirror tile
+_T = 256  # rows per assembly, copy or trace_bound block, side of a scan tile
 
 
 def _mapped(n: int) -> np.ndarray:
@@ -49,13 +49,14 @@ def _upper_copy(m: np.ndarray) -> np.ndarray:
 class RegNormLaplacian:
     """Symmetric dense operator together with its construction context.
 
-    Every operator owns its upper triangle, in a fresh mapping whose strict
-    lower triangle is never written; the solvers read only that triangle,
-    and `matrix` mirrors it in place on its first read.  A matrix passed in
-    is scanned for symmetry and finiteness, then its upper triangle is
-    copied, so the operator costs one triangle and never aliases the
-    caller's array.  A matrix symmetric only to 1e-14 is thus seen, by the
-    solvers, by `matrix` and by trace_bound, as its mirrored upper triangle.
+    Every operator is its upper triangle, owned for life in a fresh mapping
+    and written in blocks of _T rows, so of the strict lower triangle only
+    the diagonal tiles are ever written, and they hold scratch values.  The
+    solvers and trace_bound read only the triangle.  A matrix passed in is
+    scanned for symmetry and finiteness, then its upper triangle is copied,
+    so the operator costs one triangle and never aliases the caller's
+    array.  A matrix symmetric only to 1e-14 is thus seen, by the solvers
+    and by trace_bound, as its mirrored upper triangle.
     """
 
     def __init__(self, n: int, alpha: float, matrix):
@@ -74,20 +75,7 @@ class RegNormLaplacian:
                     raise ValueError(
                         "matrix must be finite and symmetric to 1e-14")
         self.n, self.alpha = n, alpha
-        self._upper, self._mirrored = _upper_copy(m), False
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full symmetric matrix, mirrored tile by tile on first read."""
-        if not self._mirrored:
-            m = self._upper
-            for i in range(0, self.n, _T):
-                for j in range(0, i, _T):
-                    m[i:i + _T, j:j + _T] = m[j:j + _T, i:i + _T].T
-                t = m[i:i + _T, i:i + _T]
-                np.copyto(t, t.T, where=np.tri(len(t), k=-1, dtype=bool))
-            self._mirrored = True
-        return self._upper
+        self._upper = _upper_copy(m)
 
 
 def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
@@ -96,7 +84,8 @@ def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     It is written in blocks of _T rows, m[i0:i1, i0:], into _mapped, and the
     operator owns it without a copy.  No scan is needed: alpha is finite
     and every deg + alpha is positive, and each entry is a product of s_i
-    and s_j, which commute, so the mirrored matrix is bitwise symmetric.
+    and s_j, which commute, so the triangle stands for a bitwise symmetric
+    matrix.
     """
     _check_alpha(alpha)
     if alpha == 0 and np.any(g.degrees == 0):
@@ -118,7 +107,7 @@ def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
         d = np.arange(i1 - i0)
         b[d, d] += 1.0
     L = RegNormLaplacian.__new__(RegNormLaplacian)
-    L.n, L.alpha, L._upper, L._mirrored = n, alpha, m, False
+    L.n, L.alpha, L._upper = n, alpha, m
     return L
 
 

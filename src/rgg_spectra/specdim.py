@@ -84,7 +84,7 @@ class HeatTrace:
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):  # also rejects NaN
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)

@@ -20,7 +20,7 @@ import numpy as np
 from .analytic import _check_regularizer, analytic_spectrum
 from .errors import CapacityError
 from .graphs import GeometricGraph, build_rgg, dgg_degree
-from .laplacian import RegNormLaplacian, _upper_copy, assemble_rgg_laplacian
+from .laplacian import _T, RegNormLaplacian, _upper_copy, assemble_rgg_laplacian
 from .torus import MetricSpec, grid_side, radius_for_gamma, sample_uniform_points
 
 DENSE_CAP = 8192  # largest order we will hand to the dense eigensolver
@@ -210,11 +210,20 @@ def levy_distance(fa: SpectralDistribution, fb: SpectralDistribution) -> LevyRes
 
 
 def trace_bound(a: RegNormLaplacian, b: RegNormLaplacian) -> float:
-    """(1/n) trace((A-B)^2), the cube bound on the Levy distance."""
+    """(1/n) trace((A-B)^2), the cube bound on the Levy distance.
+
+    Sums the squares of A - B over the two owned upper triangles, in blocks
+    of _T rows: each strict-upper entry counts twice and the diagonal once.
+    """
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    diff = a.matrix - b.matrix
-    return float(np.sum(np.multiply(diff, diff, out=diff))) / a.n
+    total = 0.0
+    for i in range(0, a.n, _T):
+        # triu drops the block's strict lower corner, which holds scratch
+        diff = np.triu(a._upper[i:i + _T, i:] - b._upper[i:i + _T, i:])
+        diff *= diff
+        total += 2.0 * np.sum(diff) - np.trace(diff)
+    return float(total) / a.n
 
 
 def lemma2_threshold(gamma: float, gamma_prime: float, alpha: float) -> float:
@@ -222,7 +231,7 @@ def lemma2_threshold(gamma: float, gamma_prime: float, alpha: float) -> float:
 
     A degree-0 grid (gamma' = 0) is allowed when alpha > 0.
     """
-    if gamma <= 0 or gamma_prime < 0:
+    if not (gamma > 0 and gamma_prime >= 0):  # also rejects NaN
         raise ValueError("gamma must be positive and gamma_prime nonnegative")
     _check_regularizer(gamma_prime, alpha)
     return max(4.0 * gamma_prime / (gamma_prime + alpha) ** 2,

@@ -96,7 +96,7 @@ def ball_volume(radius: float, d: int, metric: MetricSpec = MetricSpec()) -> flo
     General formula (2r)^d Gamma(1 + 1/p)^d / Gamma(1 + d/p).  At p = inf,
     Gamma(1) = 1 reduces it to (2r)^d; at p = 2 it is the hypersphere volume.
     """
-    if radius < 0:
+    if not radius >= 0:  # also rejects NaN
         raise ValueError("radius must be nonnegative")
     p = metric.p
     return (2.0 * radius) ** d * math.gamma(1.0 + 1.0 / p) ** d / math.gamma(1.0 + d / p)

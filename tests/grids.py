@@ -16,3 +16,10 @@ def matched_grid(gamma, N, d):
     `diffusion` build for mean degree gamma on the N^d lattice."""
     radius = _commands._grid_radius(dgg_degree(gamma, d), d, N)
     return build_dgg(N ** d, d, radius)
+
+
+def dense(L):
+    """The whole symmetric matrix of operator L, its upper triangle mirrored;
+    the strict lower triangle that L holds is never read."""
+    u = L._upper
+    return np.where(np.tri(L.n, k=-1, dtype=bool), u.T, u)

@@ -274,6 +274,16 @@ class TestUsageErrors:
           "--methods", "mc", "--seed", "-1"], "--seed must be >= 0"),
         (["diffusion", "--d", "1", "--N", "64", "--gamma-prime", "4",
           "--seed", "-1"], "--seed must be >= 0"),
+        # the explicit-radius branch, and the lattice that every other
+        # grid command reads
+        (["spectrum", "--kind", "dgg", "--d", "2", "--N", "-4", "--radius",
+          "0.3"], "--N must be >= 1"),
+        (["spectrum", "--kind", "dgg", "--d", "2", "--N", "0", "--radius",
+          "0.3"], "--N must be >= 1"),
+        (["analytic-spectrum", "--d", "2", "--N", "-4", "--gamma-prime",
+          "8"], "--N must be >= 1"),
+        (["specdim", "--d", "1", "--N", "0", "--gamma-prime", "4"],
+         "--N must be >= 1"),
     ])
     def test_bad_parameter_exits_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"

@@ -215,3 +215,12 @@ def test_only_spectra_names_the_openblas_symbols():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
         assert not named & private, (path.stem, sorted(named & private))
+
+
+def test_only_laplacian_and_spectra_read_the_triangle():
+    # an operator is the upper triangle it owns, whose diagonal tiles hold
+    # scratch below the diagonal; only the module that writes it and the
+    # one that solves it and sums it in trace_bound may read it
+    readers = [path.stem for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if "_upper" in used_names(path)]
+    assert readers == ["laplacian", "spectra"]

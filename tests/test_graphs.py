@@ -665,8 +665,18 @@ class TestGraphCsv:
         ("rgg,-1,1,inf,0.1,\n", "negative node count -1"),
         ("rgg,-2,1,inf,0.1,\n", "negative node count -2"),
         ("foo,4,1,inf,0.1,\n0,1\n", "kind must be 'rgg' or 'dgg'"),
+        # header values that no builder writes; each message names the file
+        ("rgg,2,0,inf,0.1,\n", "dimension 0 < 1 in .*graph.csv"),
+        ("rgg,2,0,0.5,7,\n", "dimension 0 < 1 in .*graph.csv"),
+        ("rgg,2,1,0.5,0.1,\n", "lp exponent 0.5 is not >= 1 in .*graph.csv"),
+        ("dgg,3,1,nan,0.1,\n", "lp exponent nan is not >= 1 in .*graph.csv"),
+        ("rgg,2,1,inf,0,\n", r"radius 0.0 is not in \(0, 0.5\) in .*graph.csv"),
+        ("rgg,2,1,inf,0.5,\n", r"radius 0.5 is not in \(0, 0.5\) in .*graph.csv"),
+        ("rgg,2,1,2,7,\n", r"radius 7.0 is not in \(0, 0.5\) in .*graph.csv"),
+        ("dgg,3,1,inf,nan,\n", r"radius nan is not in \(0, 0.5\) in .*graph.csv"),
     ], ids=["three-columns", "one-column", "ragged", "short-header", "empty",
-            "n=-1", "n=-2", "kind"])
+            "n=-1", "n=-2", "kind", "dim=0", "dim=0-p=0.5-radius=7", "p=0.5",
+            "p=nan", "radius=0", "radius=0.5", "radius=7", "radius=nan"])
     def test_malformed_layout_rejected(self, tmp_path, text, message):
         path = tmp_path / "graph.csv"
         path.write_text(text)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from grids import matched_grid
+from grids import dense, matched_grid
 from rgg_spectra import (
     RegNormLaplacian,
     SingularityError,
@@ -35,12 +35,12 @@ def two_points(connected):
 
 class TestAssembly:
     def test_edgeless_pair_fully_regularized(self):
-        L = assemble_rgg_laplacian(two_points(False), alpha=1.0).matrix
+        L = dense(assemble_rgg_laplacian(two_points(False), alpha=1.0))
         # degrees are 0, so every entry comes from the alpha/n coupling
         assert np.allclose(L, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
     def test_connected_pair_unregularized(self):
-        L = assemble_rgg_laplacian(two_points(True), alpha=0.0).matrix
+        L = dense(assemble_rgg_laplacian(two_points(True), alpha=0.0))
         assert np.allclose(L, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_alpha_zero_needs_positive_degrees(self):
@@ -100,13 +100,13 @@ class TestAssembly:
             RegNormLaplacian(n=4, alpha=0.0, matrix=m)
 
     # orders on both sides of the 256-row assembly block, so that the
-    # mirrored matrix is checked across partial blocks
+    # triangle, mirrored by dense, is checked across partial blocks
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
     def test_rgg_bitwise_equals_reference(self, alpha):
         for n in (255, 256, 257, 300, 513):
             g = build_rgg(sample_uniform_points(n, 2, 4), 0.1)
             assert g.degrees.min() > 0 and len(set(g.degrees.tolist())) > 1
-            L = assemble_rgg_laplacian(g, alpha).matrix
+            L = dense(assemble_rgg_laplacian(g, alpha))
             # bytes, not values, so that a -0.0 where the reference has +0.0
             # fails
             assert L.tobytes() == reference_matrix(
@@ -116,7 +116,7 @@ class TestAssembly:
     def test_dgg_bitwise_equals_reference(self, alpha):
         chains = [build_dgg(n, 1, dgg_radius(5, n)) for n in (255, 256, 257, 513)]
         for g in (matched_grid(4, 128, 1), build_dgg(144, 2, 0.2), *chains):
-            L = assemble_dgg_laplacian(g, alpha).matrix
+            L = dense(assemble_dgg_laplacian(g, alpha))
             degree = np.full(g.n, float(g.degrees[0]))
             assert L.tobytes() == reference_matrix(g, alpha, degree).tobytes()
 
@@ -127,7 +127,7 @@ class TestAssembly:
         with pytest.raises(SingularityError):  # its one node has degree 0
             assemble(g, 0.0)
         for alpha in (0.1, 1.0):
-            L = assemble(g, alpha).matrix
+            L = dense(assemble(g, alpha))
             assert L.tobytes() == reference_matrix(
                 g, alpha, g.degrees.astype(float)).tobytes()
 
@@ -136,13 +136,13 @@ class TestAssembly:
         for g in (build_rgg(sample_uniform_points(n, 2, 4), 0.1),
                   build_dgg(n, 1, dgg_radius(5, n))):
             L = assemble_rgg_laplacian(g, 0.1)
-            RegNormLaplacian(n, 0.1, L.matrix)
+            RegNormLaplacian(n, 0.1, dense(L))
 
 
 class TestGridEntries:
     def test_neighbor_weight_is_inverse_degree(self):
         g = matched_grid(2, 8, 1)  # degree 4 ring with two-step stencil
-        L = assemble_dgg_laplacian(g, 0.0).matrix
+        L = dense(assemble_dgg_laplacian(g, 0.0))
         assert np.all(g.degrees == 4)
         for i in range(8):
             for j in g.adjacency[i]:
@@ -151,19 +151,19 @@ class TestGridEntries:
 
     def test_regularized_diagonal_value(self):
         g = matched_grid(2, 8, 1)
-        L = assemble_dgg_laplacian(g, 0.5).matrix
+        L = dense(assemble_dgg_laplacian(g, 0.5))
         expect = 1.0 - (0.5 / 8) / 4.5
         assert np.allclose(np.diag(L), expect, atol=1e-15)
 
     def test_row_sums_vanish_for_regular_graph(self):
         for alpha in (0.0, 0.1, 2.0):
             g = build_dgg(36, 2, 0.18)
-            L = assemble_dgg_laplacian(g, alpha).matrix
+            L = dense(assemble_dgg_laplacian(g, alpha))
             assert np.max(np.abs(L.sum(axis=1))) <= 1e-12
 
     def test_constant_vector_is_zero_mode(self):
         g = build_dgg(64, 1, 0.1)
-        L = assemble_dgg_laplacian(g, 0.3).matrix
+        L = dense(assemble_dgg_laplacian(g, 0.3))
         u = np.ones(64) / 8.0
         assert np.max(np.abs(L @ u)) <= 1e-12
 
@@ -173,14 +173,14 @@ class TestSpectralIdentities:
         # (deg + alpha)^(1/2) annihilates the operator for any graph
         g = build_rgg(sample_uniform_points(200, 2, 11), 0.08)
         for alpha in (0.25, 1.0):
-            L = assemble_rgg_laplacian(g, alpha).matrix
+            L = dense(assemble_rgg_laplacian(g, alpha))
             u = np.sqrt(g.degrees + alpha)
             assert np.max(np.abs(L @ u)) <= 1e-12 * np.max(u)
 
     def test_positive_semidefinite(self):
         for seed, alpha in ((0, 0.0), (1, 0.1), (2, 1.5)):
             g = build_rgg(sample_uniform_points(96, 2, seed), 0.15)
-            vals = np.linalg.eigvalsh(assemble_rgg_laplacian(g, alpha).matrix)
+            vals = np.linalg.eigvalsh(dense(assemble_rgg_laplacian(g, alpha)))
             assert vals.min() >= -1e-10
 
     def test_weight_row_sum_matches_denominator(self):

@@ -144,6 +144,11 @@ class TestHeatTrace:
             HeatTrace(times=np.array([1.0, 1.0]), values=np.array([0.5, 0.5]),
                       stationary_offset=0.0)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            HeatTrace(times=np.array([1.0, np.nan, 3.0]),
+                      values=np.array([0.5, 0.4, 0.3]), stationary_offset=0.0)
+
     def test_times_must_be_one_dimensional(self):
         sd = SpectralDistribution.from_values([0.0, 2.0])
         with pytest.raises(ValueError, match="1-d"):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grids import matched_grid
+from grids import dense, matched_grid
 from levy_oracle import band_holds, levy_grid_bisect, levy_grid_scan
 from rgg_spectra import (
     DENSE_CAP,
@@ -122,7 +122,7 @@ class TestDenseSolver:
     def test_matches_eigvalsh_on_rgg_laplacian(self):
         L = rgg_laplacian(1024, 0)
         got = full_spectrum(L).eigenvalues
-        assert np.max(np.abs(got - np.linalg.eigvalsh(L.matrix))) <= 1e-12
+        assert np.max(np.abs(got - np.linalg.eigvalsh(dense(L)))) <= 1e-12
 
     def test_reads_the_upper_triangle(self):
         # the strict lower triangle is never read
@@ -135,9 +135,9 @@ class TestDenseSolver:
     def test_leaves_the_operator_unchanged(self):
         # criterion 4 reads the same matrices through trace_bound afterwards
         L = rgg_laplacian(256, 1)
-        before = L.matrix.tobytes()
+        before = dense(L).tobytes()
         full_spectrum(L)
-        assert L.matrix.tobytes() == before
+        assert dense(L).tobytes() == before
 
     def test_overwrite_leaves_the_callers_matrix(self):
         # the operator solves its own copy of the triangle, not the array
@@ -177,7 +177,7 @@ class TestDenseSolver:
         L = rgg_laplacian(512, 2)
         monkeypatch.setattr(spectra, "_openblas", lambda *declaration: None)
         got = full_spectrum(L).eigenvalues
-        assert got.tobytes() == np.linalg.eigvalsh(L.matrix).tobytes()
+        assert got.tobytes() == np.linalg.eigvalsh(dense(L)).tobytes()
         prov = spectra._solver_provenance()
         assert prov == {"blas_config": None, "blas_threads": None,
                         "eigensolver": "eigvalsh",
@@ -315,7 +315,7 @@ class TestInPlaceSolve:
         L = assemble_rgg_laplacian(g, 0.1)
         monkeypatch.setattr(spectra, "_openblas", lambda *declaration: None)
         got = spectrum_of_graph(g, 0.1).eigenvalues
-        assert got.tobytes() == np.linalg.eigvalsh(L.matrix).tobytes()
+        assert got.tobytes() == np.linalg.eigvalsh(dense(L)).tobytes()
 
 
 class TestLevyDistance:
@@ -411,6 +411,56 @@ class TestTraceBound:
         B = RegNormLaplacian(n=2, alpha=0.0, matrix=0.0 * I2)
         assert trace_bound(A, B) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [300, 513])
+    def test_value_on_assembled_operators(self, n):
+        # several 256-row blocks, each with a diagonal tile whose strict
+        # lower corner holds assembly scratch, not the mirrored entries
+        A, B = (assemble_rgg_laplacian(
+            build_rgg(sample_uniform_points(n, 2, seed), 0.1), 0.1)
+            for seed in (1, 2))
+        want = np.sum((dense(A) - dense(B)) ** 2) / n
+        assert trace_bound(A, B) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_value_on_constructed_operators(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 7, 255, 256, 257, 300):
+            A, B = random_laplacian_pair(rng, n)
+            want = np.sum((dense(A) - dense(B)) ** 2) / n
+            assert trace_bound(A, B) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM and VmRSS from /proc")
+    def test_reads_the_triangles_in_place(self):
+        # blocks of 256 rows, so neither operator grows and the temporaries
+        # stay a few blocks; measured 0.34 and 0.02 matrices of growth in
+        # VmHWM and VmRSS
+        n = 2048
+        probe = (
+            "from rgg_spectra import INF, MetricSpec, assemble_rgg_laplacian, "
+            "build_rgg, radius_for_gamma, sample_uniform_points, trace_bound\n"
+            "def status():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        f = dict(line.split(':', 1) for line in fh)\n"
+            "    return [int(f[k].split()[0]) * 1024 for k in ('VmHWM', 'VmRSS')]\n"
+            "m = MetricSpec(INF)\n"
+            "def laplacian(n, seed, radius):\n"
+            "    return assemble_rgg_laplacian(build_rgg(\n"
+            "        sample_uniform_points(n, 1, [seed, n]), radius, m), 0.1)\n"
+            "trace_bound(laplacian(64, 0, 0.2), laplacian(64, 1, 0.2))\n"
+            f"r = radius_for_gamma(16.0, {n}, 1, m)\n"
+            f"A, B = laplacian({n}, 3, r), laplacian({n}, 4, r)\n"
+            "before = status()\n"
+            "trace_bound(A, B)\n"
+            "print(*before, *status())")
+        src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
+        result = subprocess.run([sys.executable, "-c", probe],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, check=True)
+        hwm0, rss0, hwm1, rss1 = map(int, result.stdout.split())
+        matrix = 8 * n * n
+        assert hwm1 - hwm0 < 1.0 * matrix
+        assert rss1 - rss0 < 0.25 * matrix
+
 
 class TestLemma2Threshold:
     def test_matched_degree_value(self):
@@ -435,6 +485,11 @@ class TestLemma2Threshold:
             lemma2_threshold(0.0, 4.0, 0.1)
         with pytest.raises(ValueError):
             lemma2_threshold(4.0, -1.0, 0.1)
+
+    @pytest.mark.parametrize("gamma,gamma_prime", [(np.nan, 8.0), (8.0, np.nan)])
+    def test_nan_inputs_rejected(self, gamma, gamma_prime):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            lemma2_threshold(gamma, gamma_prime, 0.1)
 
 
 def dense_route_levy(d, gamma, alpha, metric, n_list, seeds):

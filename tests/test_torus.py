@@ -125,10 +125,11 @@ class TestInputChecks:
         (lambda: TorusPointSet(dim=2, points=np.zeros((0, 2))),
          "at least one point"),
         (lambda: ball_volume(-0.1, 2), "radius must be nonnegative"),
+        (lambda: ball_volume(math.nan, 2), "radius must be nonnegative"),
         (lambda: radius_for_gamma(1.0, 1, 1), "n must be at least 2"),
         (lambda: sample_uniform_points(4, 0, 0), "d must be at least 1"),
     ], ids=["p-below-one", "wrong-shape", "no-rows", "negative-radius",
-            "one-point", "zero-dim"])
+            "nan-radius", "one-point", "zero-dim"])
     def test_bad_input_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

@@ -218,7 +218,8 @@ def _cmd_spectrum(cfg: dict) -> list:
             analytic_ref = analytic.analytic_spectrum(N, gp, alpha, d)
     outputs.append(("graph.csv", partial(graphs.write_graph_csv, g)))
 
-    ev = spectra.spectrum_of_graph(g, alpha).eigenvalues
+    sd, classes, solved = spectra._solve_quotient(g, alpha)
+    ev = sd.eigenvalues
     outputs += _eigenvalue_outputs(ev, f"{g.kind} spectrum, n = {ev.size}")
     if analytic_ref is not None:
         outputs.append(("comparison.csv", partial(
@@ -227,7 +228,8 @@ def _cmd_spectrum(cfg: dict) -> list:
             rows=np.column_stack((np.arange(ev.size), ev, analytic_ref,
                                   abs(ev - analytic_ref))))))
     print(f"{g.kind}: n={g.n} mean_degree={g.mean_degree():.6g} "
-          f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}]")
+          f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}] classes={classes} "
+          f"solved={solved}")
     return outputs
 
 

@@ -78,46 +78,65 @@ class RegNormLaplacian:
         self._upper = _upper_copy(m)
 
 
-def _assemble(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
-    """The upper triangle of eye(n) - (A + alpha/n) * outer(s, s).
+def _assemble(g: GeometricGraph, alpha: float, size: np.ndarray,
+              degrees: np.ndarray, n: int, order: int) -> RegNormLaplacian:
+    """The operator of g, node i standing for size[i] closed twins of degree
+    degrees[i] in a graph of n nodes, as the upper triangle of an order x
+    order matrix.
 
-    It is written in blocks of _T rows, m[i0:i1, i0:], into _mapped, and the
-    operator owns it without a copy.  No scan is needed: alpha is finite
-    and every deg + alpha is positive, and each entry is a product of s_i
-    and s_j, which commute, so the triangle stands for a bitwise symmetric
-    matrix.
+    With every size 1, degrees g.degrees and n = order = g.n, this is the
+    upper triangle of eye(n) - (A + alpha/n) * outer(s, s).  Otherwise it is
+    the quotient on the vectors constant on each class: with rho = alpha/n
+    and t = sqrt(size) * s, entry (C, D) is -t_C t_D (rho + 1) for joined
+    classes, -t_C t_D rho for others, and the diagonal is
+    1 - t_C^2 (rho + (size_C - 1)/size_C).  Rows g.n to order - 1 hold 4.0
+    on the diagonal and nothing else.
+
+    It is written in blocks of _T rows, m[i0:i1, i0:g.n], into _mapped, and
+    the operator owns it without a copy.  No scan is needed: alpha is
+    finite and every degree + alpha is positive, and each entry is a
+    product of t_i and t_j, which commute, so the triangle stands for a
+    bitwise symmetric matrix.
     """
     _check_alpha(alpha)
-    if alpha == 0 and np.any(g.degrees == 0):
+    # the graph's own degrees: a clique is one class joined to no other
+    if alpha == 0 and np.any(degrees == 0):
         raise SingularityError(
             "alpha = 0 requires minimum degree >= 1 (isolated vertex present)")
-    n = g.n
-    s = 1.0 / np.sqrt(g.degrees + alpha)
-    m = _mapped(n)
-    for i0 in range(0, n, _T):
-        i1 = min(i0 + _T, n)
-        b = m[i0:i1, i0:]
-        np.multiply.outer(s[i0:i1], s[i0:], out=b)
+    rho = alpha / max(n, 1)  # an empty graph has no entry to scale
+    # sqrt(1.0) * s is s, so a graph without twins keeps its bits
+    t = np.sqrt(size) * (1.0 / np.sqrt(degrees + alpha))
+    # rho, plus the share of a class's ordered pairs that are twin links
+    inside = rho + (size - 1.0) / size
+    m = _mapped(order)
+    for i0 in range(0, g.n, _T):
+        i1 = min(i0 + _T, g.n)
+        b = m[i0:i1, i0:g.n]
+        np.multiply.outer(t[i0:i1], t[i0:], out=b)
         e = g._row_edges(i0, i1) - i0
-        edge = (1.0 + alpha / n) * b[e[:, 0], e[:, 1]]
-        b *= alpha / n
+        edge = (1.0 + rho) * b[e[:, 0], e[:, 1]]
+        d = np.arange(i1 - i0)
+        diagonal = inside[i0:i1] * b[d, d]
+        b *= rho
         b[e[:, 0], e[:, 1]] = edge
+        b[d, d] = diagonal
         # 0.0 - x, not -x: an entry of M equal to +0.0 stays +0.0, as in eye - M
         np.subtract(0.0, b, out=b)
-        d = np.arange(i1 - i0)
         b[d, d] += 1.0
+    pad = np.arange(g.n, order)
+    m[pad, pad] = 4.0
     L = RegNormLaplacian.__new__(RegNormLaplacian)
-    L.n, L.alpha, L._upper = n, alpha, m
+    L.n, L.alpha, L._upper = order, alpha, m
     return L
 
 
 def assemble_rgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     """Laplacian normalized by the observed degrees, regularized by alpha."""
-    return _assemble(g, alpha)
+    return _assemble(g, alpha, np.ones(g.n), g.degrees, g.n, g.n)
 
 
 def assemble_dgg_laplacian(g: GeometricGraph, alpha: float) -> RegNormLaplacian:
     """Laplacian of a regular grid graph; all denominators are degree + alpha."""
     if g.n and np.any(g.degrees != g.degrees[0]):
         raise ValueError("grid Laplacian requires a regular graph")
-    return _assemble(g, alpha)
+    return _assemble(g, alpha, np.ones(g.n), g.degrees, g.n, g.n)

@@ -19,11 +19,12 @@ import numpy as np
 
 from .analytic import _check_regularizer, analytic_spectrum
 from .errors import CapacityError
-from .graphs import GeometricGraph, build_rgg, dgg_degree
-from .laplacian import _T, RegNormLaplacian, _upper_copy, assemble_rgg_laplacian
+from .graphs import GeometricGraph, _twin_quotient, build_rgg, dgg_degree
+from .laplacian import _T, RegNormLaplacian, _assemble, _upper_copy
 from .torus import MetricSpec, grid_side, radius_for_gamma, sample_uniform_points
 
 DENSE_CAP = 8192  # largest order we will hand to the dense eigensolver
+_PAD = 32  # spectrum_of_graph solves an order that is a multiple of this
 
 # exports of numpy's bundled OpenBLAS as (symbol, restype, *argtypes): the
 # two-stage, eigenvalues-only LAPACK solver, whose trailing size_t arguments
@@ -169,11 +170,42 @@ def full_spectrum(L: RegNormLaplacian, *,
         _eigvalsh(L._upper if overwrite else _upper_copy(L._upper)))
 
 
-def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
-    """Assemble g's Laplacian, either kind, by assemble_rgg_laplacian and solve
-    its upper triangle in place, with no copy on the dsyevd_2stage route."""
+def _solve_quotient(g: GeometricGraph, alpha: float):
+    """spectrum_of_graph's spectrum, with its class count and solved order."""
     _check_dense_cap(g.n)
-    return full_spectrum(assemble_rgg_laplacian(g, alpha), overwrite=True)
+    q, size, degrees = _twin_quotient(g)
+    order = _PAD * -(-q.n // _PAD)
+    ev = full_spectrum(_assemble(q, alpha, size, degrees, g.n, order),
+                       overwrite=True).eigenvalues
+    # the pad rows are decoupled, so the solve returns them untouched
+    if not np.all(ev[q.n:] == 4.0):
+        raise np.linalg.LinAlgError("a pad eigenvalue moved off 4.0")
+    atoms = np.repeat(1.0 + 1.0 / (degrees + alpha), size - 1)
+    return (SpectralDistribution.from_values(np.concatenate([ev[:q.n], atoms])),
+            q.n, order)
+
+
+def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
+    """g's regularized Laplacian spectrum, either kind, solved on g's
+    closed-twin quotient.
+
+    Closed twins are nodes with equal closed neighbourhoods, found by
+    graphs._closed_twins.  In a class of k twins of degree deg, every
+    vector on the class that sums to 0 is an eigenvector of eigenvalue
+    1 + 1/(deg + alpha), so the class gives k - 1 of these atoms exactly.
+    The rest of the spectrum is that of the operator on the vectors
+    constant on each class, the quotient, of order m, the class count.
+    laplacian._assemble, the body that assembles every operator, writes
+    it padded to an order that is a multiple of _PAD with decoupled rows
+    of eigenvalue 4.0, outside [0, 2].  That
+    triangle is solved once, in place; the pad values, checked to be
+    exactly 4.0, are dropped and the atoms appended.  At an order that is
+    a multiple of 32 the two-stage route gave equal bytes at 1 and 2 BLAS
+    threads.  A graph without twins, at a multiple of 32 nodes, is solved
+    as its full assembly, entry for entry.  The test oracle for every
+    graph is full_spectrum(assemble_rgg_laplacian(g, alpha)).
+    """
+    return _solve_quotient(g, alpha)[0]
 
 
 def _rotated_cdf(e: np.ndarray, lo: float, hi: float):

@@ -542,9 +542,16 @@ class TestThreadControl:
             returns.append((out / "mc_returns.csv").read_bytes())
         assert returns[0] == returns[1]
 
-    @pytest.mark.parametrize("d,gamma", [(1, 16), (2, 12)])
+    @pytest.mark.parametrize("d,gamma,n,seed", [
+        pytest.param(1, 16, 1024, 0, id="1-16"),
+        pytest.param(2, 12, 1024, 0, id="2-12"),
+        # sizes whose full assembly gives other bytes at 1 and 2 threads
+        pytest.param(1, 16, 777, 3, id="1-16-n777"),
+        pytest.param(1, 16, 1000, 3, id="1-16-n1000"),
+    ])
     def test_dense_eigenvalues_identical_across_thread_counts(self, tmp_path,
-                                                              d, gamma):
+                                                              d, gamma, n,
+                                                              seed):
         # the claim holds on the two-stage route only: the eigvalsh
         # fallback's eigenvalues differ across thread counts by rounding
         src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
@@ -553,8 +560,9 @@ class TestThreadControl:
             out = tmp_path / f"threads{threads}"
             subprocess.run(
                 [sys.executable, "-m", "rgg_spectra.cli", "spectrum", "--kind",
-                 "rgg", "--d", str(d), "--n", "1024", "--gamma", str(gamma),
-                 "--seed", "0", "--threads", str(threads), "--out", str(out)],
+                 "rgg", "--d", str(d), "--n", str(n), "--gamma", str(gamma),
+                 "--seed", str(seed), "--threads", str(threads), "--out",
+                 str(out)],
                 env={**os.environ, "PYTHONPATH": src}, check=True,
                 capture_output=True, text=True)
             runs.append((read_manifest(out)["eigensolver"],

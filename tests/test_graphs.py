@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rgg_spectra
-from grids import lattice, matched_grid
+from grids import graph_of, lattice, matched_grid
 from rgg_spectra import (
     INF,
     GeometricGraph,
@@ -237,6 +237,66 @@ class TestCsrLayout:
         with pytest.raises(ValueError, match="indptr"):
             GeometricGraph(kind="rgg", n=3, dim=1, p=INF, radius=0.1,
                            indptr=np.array(indptr), indices=np.array(indices))
+
+
+def brute_force_twins(g):
+    """Each node's closed-twin class, named by its smallest node, from the
+    closed neighbourhoods as Python sets."""
+    first = {}
+    return np.array([first.setdefault(frozenset([i, *g.adjacency[i].tolist()]), i)
+                     for i in range(g.n)])
+
+
+def twin_test_graphs():
+    """RGGs with many twins (d = 1), some (d = 2) and almost none (d = 3),
+    under three metrics, and lattices without twins and complete."""
+    for d, gamma in ((1, 16.0), (2, 12.0), (3, 10.0)):
+        for p in (INF, 2.0, 1.0):
+            metric = MetricSpec(p)
+            for n in (64, 777):
+                yield build_rgg(sample_uniform_points(n, d, [5, n]),
+                                radius_for_gamma(gamma, n, d, metric), metric)
+    yield build_dgg(512, 1, 0.01)
+    yield build_dgg(9, 1, dgg_radius(4, 9))  # complete
+    yield build_dgg(25, 2, dgg_radius(2, 5))  # complete
+    yield graph_of(5, [])  # edgeless
+
+
+class TestClosedTwins:
+    def test_matches_brute_force(self):
+        for g in twin_test_graphs():
+            assert np.array_equal(graphs._closed_twins(g), brute_force_twins(g))
+
+    def test_hash_collisions_are_regrouped(self, monkeypatch):
+        # with every weight 0 all nodes of one degree share a hash, so the
+        # exact comparison alone separates the classes, over several passes
+        monkeypatch.setattr(graphs, "_twin_weights",
+                            lambda n: np.zeros(n, dtype=np.uint64))
+        for g in twin_test_graphs():
+            assert np.array_equal(graphs._closed_twins(g), brute_force_twins(g))
+
+    def test_batches_of_one_row(self, monkeypatch):
+        # every batch boundary falls between two rows
+        monkeypatch.setattr(graphs, "_TWIN_BATCH", 3)
+        for g in twin_test_graphs():
+            assert np.array_equal(graphs._closed_twins(g), brute_force_twins(g))
+
+    def test_quotient_of_a_hand_built_graph(self):
+        # {0, 1} and {4, 5, 6, 7} are twin classes; 2 and 3 are alone
+        g = graph_of(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5),
+                         (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6),
+                         (5, 7), (6, 7)])
+        q, size, degrees = graphs._twin_quotient(g)
+        assert q.n == 4 and q.kind == g.kind
+        assert edge_set(q) == {(0, 1), (1, 2), (2, 3)}
+        assert size.tolist() == [2, 1, 1, 4]
+        assert degrees.tolist() == [2, 3, 5, 4]
+
+    def test_quotient_without_twins_is_the_graph(self):
+        g = build_dgg(512, 1, 0.01)
+        q, size, degrees = graphs._twin_quotient(g)
+        assert_same_csr(q, g)
+        assert np.all(size == 1) and np.array_equal(degrees, g.degrees)
 
 
 class TestBuildRgg:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grids import dense, matched_grid
+from grids import dense, graph_of, matched_grid
 from levy_oracle import band_holds, levy_grid_bisect, levy_grid_scan
 from rgg_spectra import (
     DENSE_CAP,
@@ -304,18 +304,100 @@ class TestInPlaceSolve:
 
     @pytest.mark.parametrize("kind", ["rgg", "dgg"])
     def test_bitwise_equal_to_solving_a_copy(self, kind):
-        for n in (257, 512):  # 257 ends in a one-row assembly block
+        # RGGs have twins and the 257-node lattice is padded, so both are
+        # solved with other arithmetic than the full assembly and meet its
+        # dense oracle to 1e-12; a lattice without twins at a multiple of
+        # 32 nodes is its own quotient, and its bits are the assembly's
+        for n in (257, 512, 1024):
             g = rgg(n, 4) if kind == "rgg" else build_dgg(n, 1, 0.01)
-            L = assemble_rgg_laplacian(g, 0.1)
             got = spectrum_of_graph(g, 0.1).eigenvalues
-            assert got.tobytes() == full_spectrum(L).eigenvalues.tobytes()
+            want = full_spectrum(assemble_rgg_laplacian(g, 0.1)).eigenvalues
+            if kind == "dgg" and n % 32 == 0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_fallback_solves_the_assembly(self, monkeypatch):
-        g = rgg(512, 5)
-        L = assemble_rgg_laplacian(g, 0.1)
+        graphs = [rgg(512, 5), build_dgg(512, 1, 0.01), build_dgg(1024, 1, 0.01)]
+        oracles = [np.linalg.eigvalsh(dense(assemble_rgg_laplacian(g, 0.1)))
+                   for g in graphs]
         monkeypatch.setattr(spectra, "_openblas", lambda *declaration: None)
-        got = spectrum_of_graph(g, 0.1).eigenvalues
-        assert got.tobytes() == np.linalg.eigvalsh(dense(L)).tobytes()
+        for g, want in zip(graphs, oracles):
+            got = spectrum_of_graph(g, 0.1).eigenvalues
+            if g.kind == "dgg":
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestTwinQuotient:
+    """spectrum_of_graph's quotient spectrum and atoms against the dense
+    solve of the whole assembly."""
+
+    @pytest.mark.parametrize("d,gamma", [(1, 16.0), (2, 12.0), (3, 10.0)])
+    @pytest.mark.parametrize("p", [INF, 2.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+    def test_matches_the_dense_oracle(self, d, gamma, p, alpha):
+        metric = MetricSpec(p)
+        for n in (64, 300):
+            g = build_rgg(sample_uniform_points(n, d, [1, n]),
+                          radius_for_gamma(gamma, n, d, metric), metric)
+            if alpha == 0 and np.any(g.degrees == 0):
+                continue
+            want = full_spectrum(assemble_rgg_laplacian(g, alpha)).eigenvalues
+            got = spectrum_of_graph(g, alpha).eigenvalues
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_atoms_are_exact(self):
+        # {0, 1} (degree 2) and {4, 5, 6, 7} (degree 4) are twin classes;
+        # they leave 1 and 3 eigenvalues at 1 + 1/(deg + alpha), exactly
+        g = graph_of(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5),
+                         (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6),
+                         (5, 7), (6, 7)])
+        sd, classes, solved = spectra._solve_quotient(g, 0.1)
+        assert (classes, solved) == (4, 32)
+        ev = sd.eigenvalues
+        assert np.count_nonzero(ev == 1.0 + 1.0 / 2.1) == 1
+        assert np.count_nonzero(ev == 1.0 + 1.0 / 4.1) == 3
+        want = full_spectrum(assemble_rgg_laplacian(g, 0.1)).eigenvalues
+        assert np.max(np.abs(ev - want)) <= 1e-12
+
+    def test_clique_component_at_alpha_zero(self):
+        # the 5-clique is one class of quotient degree 0, but its nodes
+        # have degree 4, so alpha = 0 is not singular: 0 once and 5/4 four
+        # times, beside a 4-node path
+        clique = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        g = graph_of(9, clique + [(5, 6), (6, 7), (7, 8)])
+        ev = spectrum_of_graph(g, 0.0).eigenvalues
+        want = full_spectrum(assemble_rgg_laplacian(g, 0.0)).eigenvalues
+        assert np.max(np.abs(ev - want)) <= 1e-12
+        assert np.count_nonzero(ev == 1.25) == 4
+
+    def test_isolated_node_at_alpha_zero_is_singular(self):
+        with pytest.raises(SingularityError):
+            spectrum_of_graph(graph_of(3, [(0, 1)]), 0.0)
+
+    @pytest.mark.parametrize("d,gamma", [(1, 16.0), (2, 12.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_moments_match_the_graph(self, d, gamma, seed):
+        # the trace and Frobenius norm of L from the graph alone:
+        # sum(1 - c s_i^2) and sum (1 - c s_i^2)^2 + (1 + 2c) sum over
+        # directed edges of s_i^2 s_j^2 + c^2 ((sum s^2)^2 - sum s^4), with
+        # c = alpha/n and s_i^2 = 1/(deg_i + alpha)
+        n, alpha = 4096, 0.1
+        metric = MetricSpec(INF)
+        g = build_rgg(sample_uniform_points(n, d, [seed, n]),
+                      radius_for_gamma(gamma, n, d, metric), metric)
+        ev = spectrum_of_graph(g, alpha).eigenvalues
+        c = alpha / n
+        s2 = 1.0 / (g.degrees + alpha)
+        diagonal = 1.0 - c * s2
+        src = np.repeat(np.arange(n), g.degrees)
+        frobenius = (np.sum(diagonal ** 2)
+                     + (1.0 + 2.0 * c) * np.sum(s2[src] * s2[g.indices])
+                     + c * c * (np.sum(s2) ** 2 - np.sum(s2 ** 2)))
+        assert abs(np.sum(ev) - np.sum(diagonal)) <= 1e-10
+        assert abs(np.sum(ev ** 2) - frobenius) <= 1e-10
 
 
 class TestLevyDistance:

@@ -59,12 +59,9 @@ class GeometricGraph:
         """Per-node neighbor arrays, as views into indices."""
         return np.split(self.indices, self.indptr[1:-1])
 
-    def edges(self) -> np.ndarray:
-        """All edges as an (m, 2) array with i < j, sorted lexicographically."""
-        return self._row_edges(0, self.n)
-
     def _row_edges(self, lo: int, hi: int) -> np.ndarray:
-        """The edges i < j of CSR rows lo:hi, as edges() orders them."""
+        """The edges i < j of CSR rows lo:hi as an (m, 2) array, sorted
+        lexicographically."""
         src = np.repeat(np.arange(lo, hi, dtype=np.int64),
                         np.diff(self.indptr[lo:hi + 1]))
         dst = self.indices[self.indptr[lo]:self.indptr[hi]]
@@ -381,7 +378,7 @@ def write_graph_csv(g: GeometricGraph, path) -> None:
     starts at or past a multiple of _CSV_CHUNK stored entries, and
     `_write_csv` formats each block with `"%d,%d\n"`; so the writer holds
     no whole-graph edge array, only the Python ints of one block, and the
-    lines are in edges() order.
+    lines are sorted lexicographically.
     """
     cuts = np.unique(np.append(np.searchsorted(
         g.indptr, np.arange(0, g.indptr[-1], _CSV_CHUNK)), g.n))

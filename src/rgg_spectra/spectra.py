@@ -20,11 +20,10 @@ import numpy as np
 from .analytic import _check_regularizer, analytic_spectrum
 from .errors import CapacityError
 from .graphs import GeometricGraph, _twin_quotient, build_rgg, dgg_degree
-from .laplacian import _T, RegNormLaplacian, _assemble, _upper_copy
+from .laplacian import _PAD_VALUE, _T, RegNormLaplacian, _assemble, _upper_copy
 from .torus import MetricSpec, grid_side, radius_for_gamma, sample_uniform_points
 
 DENSE_CAP = 8192  # largest order we will hand to the dense eigensolver
-_PAD = 32  # spectrum_of_graph solves an order that is a multiple of this
 
 # exports of numpy's bundled OpenBLAS as (symbol, restype, *argtypes): the
 # two-stage, eigenvalues-only LAPACK solver, whose trailing size_t arguments
@@ -164,25 +163,31 @@ def full_spectrum(L: RegNormLaplacian, *,
     every page of the triangle copy, by 2.57.  With overwrite it solves
     that triangle in place, which destroys L and saves the copy; only an
     owner of L that never reads it again may set overwrite.
+
+    The triangle is stored padded (laplacian._mapped), so the solve returns
+    L's n eigenvalues and M - n copies of the pad value, wherever they
+    sort.  Exactly M - n values equal to it are dropped, which is exact
+    even when it is one of L's own eigenvalues; fewer than M - n is a
+    LinAlgError.
     """
     _check_dense_cap(L.n)
-    return SpectralDistribution.from_values(
-        _eigvalsh(L._upper if overwrite else _upper_copy(L._upper)))
+    ev = _eigvalsh(L._upper if overwrite else _upper_copy(L._upper))
+    # the pad rows are decoupled, so the solve returns their values untouched
+    pad = np.flatnonzero(ev == _PAD_VALUE)[:ev.size - L.n]
+    if pad.size < ev.size - L.n:
+        raise np.linalg.LinAlgError(f"a pad eigenvalue moved off {_PAD_VALUE}")
+    return SpectralDistribution.from_values(np.delete(ev, pad))
 
 
 def _solve_quotient(g: GeometricGraph, alpha: float):
     """spectrum_of_graph's spectrum, with its class count and solved order."""
     _check_dense_cap(g.n)
     q, size, degrees = _twin_quotient(g)
-    order = _PAD * -(-q.n // _PAD)
-    ev = full_spectrum(_assemble(q, alpha, size, degrees, g.n, order),
-                       overwrite=True).eigenvalues
-    # the pad rows are decoupled, so the solve returns them untouched
-    if not np.all(ev[q.n:] == 4.0):
-        raise np.linalg.LinAlgError("a pad eigenvalue moved off 4.0")
+    L = _assemble(q, alpha, size, degrees, g.n)
+    ev = full_spectrum(L, overwrite=True).eigenvalues
     atoms = np.repeat(1.0 + 1.0 / (degrees + alpha), size - 1)
-    return (SpectralDistribution.from_values(np.concatenate([ev[:q.n], atoms])),
-            q.n, order)
+    return (SpectralDistribution.from_values(np.concatenate([ev, atoms])),
+            q.n, len(L._upper))
 
 
 def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
@@ -196,14 +201,11 @@ def spectrum_of_graph(g: GeometricGraph, alpha: float) -> SpectralDistribution:
     The rest of the spectrum is that of the operator on the vectors
     constant on each class, the quotient, of order m, the class count.
     laplacian._assemble, the body that assembles every operator, writes
-    it padded to an order that is a multiple of _PAD with decoupled rows
-    of eigenvalue 4.0, outside [0, 2].  That
-    triangle is solved once, in place; the pad values, checked to be
-    exactly 4.0, are dropped and the atoms appended.  At an order that is
-    a multiple of 32 the two-stage route gave equal bytes at 1 and 2 BLAS
-    threads.  A graph without twins, at a multiple of 32 nodes, is solved
-    as its full assembly, entry for entry.  The test oracle for every
-    graph is full_spectrum(assemble_rgg_laplacian(g, alpha)).
+    it in the one padded storage of every operator; full_spectrum solves
+    that triangle once, in place, and drops the pad values, and the atoms
+    are appended.  A graph without twins is solved as its full assembly,
+    entry for entry.  The test oracle for every graph is
+    full_spectrum(assemble_rgg_laplacian(g, alpha)).
     """
     return _solve_quotient(g, alpha)[0]
 

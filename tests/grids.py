@@ -27,8 +27,13 @@ def graph_of(n, pairs):
                           indptr=indptr, indices=indices)
 
 
+def edges(g):
+    """Every edge of g as an (m, 2) array with i < j, sorted lexicographically."""
+    return g._row_edges(0, g.n)
+
+
 def dense(L):
     """The whole symmetric matrix of operator L, its upper triangle mirrored;
     the strict lower triangle that L holds is never read."""
-    u = L._upper
+    u = L._upper[:L.n, :L.n]
     return np.where(np.tri(L.n, k=-1, dtype=bool), u.T, u)

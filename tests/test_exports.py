@@ -1,6 +1,7 @@
 """The package's lazy public namespace and the benchmark's hooks into it."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -60,16 +61,43 @@ def used_names(path):
     return used
 
 
+def callers():
+    """The modules whose uses keep a public name alive: the package but
+    __init__.py, which holds the export table and the constants it defines,
+    the scripts, the benchmark and the acceptance tests; the other test
+    modules do not count."""
+    paths = [path for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    return paths
+
+
 def test_every_exported_name_has_a_caller():
-    # __init__.py holds the export table and the constants it defines, so
-    # a name listed there and used nowhere else is dead public surface;
-    # the other test modules do not count as callers
-    callers = [path for path in sorted(PACKAGE_DIR.glob("*.py"))
-               if path.name != "__init__.py"]
-    callers += sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
-    callers.append(ROOT / "tests" / "test_acceptance.py")
-    used = set().union(*map(used_names, callers))
+    # a name listed in __all__ and used nowhere else is dead public surface
+    used = set().union(*map(used_names, callers()))
     assert sorted(set(rgg_spectra.__all__) - used) == []
+
+
+def test_every_public_method_has_a_caller():
+    # a method or property of an exported class is alive only if a caller
+    # reads it as an attribute, x.name; string constants do not count, so
+    # a dict key that happens to share a method's name keeps nothing alive
+    read = set()
+    for path in callers():
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    unread = []
+    for name in rgg_spectra.__all__:
+        cls = getattr(rgg_spectra, name)
+        if not inspect.isclass(cls):
+            continue
+        unread += [f"{name}.{attr}" for attr, obj in vars(cls).items()
+                   if not attr.startswith("_") and attr not in read
+                   and (inspect.isfunction(obj) or isinstance(obj, kinds))]
+    assert unread == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -192,6 +220,27 @@ def test_one_allocator_maps_the_dense_operators():
     # assembly and every triangle copy take their n x n array from
     # laplacian._mapped, whose pages stay untouched until written
     assert [where for where, _ in named_calls("mmap")] == ["laplacian._mapped"]
+
+
+def named_in(names):
+    """The package modules that name any of `names`: as a variable, an
+    attribute or an imported name."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (getattr(node, "id", None) in names
+                    or getattr(node, "attr", None) in names
+                    or isinstance(node, ast.alias) and node.name in names):
+                found.append(path.stem)
+                break
+    return found
+
+
+def test_one_module_owns_the_pad():
+    # laplacian._mapped pads every operator's storage; full_spectrum, the
+    # one solve, drops the pad values and needs the value, not the order
+    assert named_in({"_PAD"}) == ["laplacian"]
+    assert named_in({"_PAD_VALUE"}) == ["laplacian", "spectra"]
 
 
 def test_one_call_parses_csv_text():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rgg_spectra
-from grids import graph_of, lattice, matched_grid
+from grids import edges, graph_of, lattice, matched_grid
 from rgg_spectra import (
     INF,
     GeometricGraph,
@@ -131,7 +131,7 @@ def dense_adjacency(g):
 
 
 def edge_set(g):
-    return {(int(i), int(j)) for i, j in g.edges()}
+    return {(int(i), int(j)) for i, j in edges(g)}
 
 
 def assert_same_csr(a, b):
@@ -303,8 +303,8 @@ class TestBuildRgg:
     def test_tie_at_exact_radius_connects(self):
         # binary-fraction coordinates so the wrapped difference is exact
         ps = TorusPointSet(dim=1, points=np.array([[0.25], [0.375]]))
-        assert build_rgg(ps, 0.125).edges().shape == (1, 2)
-        assert build_rgg(ps, 0.124999).edges().shape == (0, 2)
+        assert edges(build_rgg(ps, 0.125)).shape == (1, 2)
+        assert edges(build_rgg(ps, 0.124999)).shape == (0, 2)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -314,12 +314,12 @@ class TestBuildRgg:
         pts = np.zeros((2, d))
         pts[1, 0] = 0.125
         g = build_rgg(TorusPointSet(dim=d, points=pts), 0.125, MetricSpec(p))
-        assert g.edges().tolist() == [[0, 1]]
+        assert edges(g).tolist() == [[0, 1]]
 
     def test_single_point_graph_is_empty(self):
         ps = TorusPointSet(dim=2, points=np.array([[0.5, 0.5]]))
         g = build_rgg(ps, 0.2)
-        assert g.n == 1 and g.degrees[0] == 0 and g.edges().shape == (0, 2)
+        assert g.n == 1 and g.degrees[0] == 0 and edges(g).shape == (0, 2)
 
     def test_radius_out_of_range_rejected(self):
         ps = sample_uniform_points(10, 2, 0)
@@ -368,7 +368,7 @@ class TestBuildRgg:
                 assert edge_set(g) == brute_force_rule_edges(ps.points, radius, p), \
                     f"mismatch at {label} r={radius}"
                 if label.startswith(("one-cell", "duplicates")) and radius == 0.2:
-                    assert g.edges().shape[0] > 0
+                    assert edges(g).shape[0] > 0
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_candidate_block_size_does_not_change_the_graph(self, monkeypatch,
@@ -438,7 +438,7 @@ class TestBuildRgg:
 
     def test_edges_sorted_lexicographically(self):
         ps = sample_uniform_points(80, 2, 9)
-        e = build_rgg(ps, 0.12).edges()
+        e = edges(build_rgg(ps, 0.12))
         assert np.all(e[:, 0] < e[:, 1])
         order = np.lexsort((e[:, 1], e[:, 0]))
         assert np.array_equal(order, np.arange(len(e)))
@@ -479,7 +479,7 @@ class TestBuildDgg:
         for r in radii:
             dgg = build_dgg(N ** d, d, r, MetricSpec(p))
             rgg = build_rgg(pts, r, MetricSpec(p))
-            assert np.array_equal(dgg.edges(), rgg.edges()), f"radius {r}"
+            assert np.array_equal(edges(dgg), edges(rgg)), f"radius {r}"
 
     @pytest.mark.parametrize("p", [1.0, 2.0, INF])
     @pytest.mark.parametrize("d,N", [(1, 44), (1, 45), (1, 47), (1, 49),
@@ -631,12 +631,12 @@ class TestGraphCsv:
     def test_writer_bytes_match_line_per_edge_reference(self, tmp_path):
         ps = sample_uniform_points(20000, 1, 3)
         g = build_rgg(ps, radius_for_gamma(8, 20000, 1))
-        assert g.edges().shape[0] > 1 << 16  # spans more than one write chunk
+        assert edges(g).shape[0] > 1 << 16  # spans more than one write chunk
         assert g.indices.size > 8 * _CSV_CHUNK  # and several CSR row blocks
         path = tmp_path / "graph.csv"
         write_graph_csv(g, path)
         expect = f"rgg,20000,1,inf,{'%.17g' % g.radius},3\n" + "".join(
-            f"{i},{j}\n" for i, j in g.edges())
+            f"{i},{j}\n" for i, j in edges(g))
         assert path.read_bytes() == expect.encode()
         assert_same_csr(read_graph_csv(path), g)
 
@@ -657,7 +657,7 @@ class TestGraphCsv:
         path = tmp_path / "graph.csv"
         write_graph_csv(g, path)
         expect = f"rgg,{n},1,2,0.25,7\n" + "".join(
-            "%d,%d\n" % (i, j) for i, j in g.edges().tolist())
+            "%d,%d\n" % (i, j) for i, j in edges(g).tolist())
         assert path.read_bytes() == expect.encode()
         assert_same_csr(read_graph_csv(path), g)
 
@@ -678,7 +678,7 @@ class TestGraphCsv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. loadtxt's "no data" warning
             back = read_graph_csv(path)
-        assert back.n == 2 and back.edges().shape == (0, 2)
+        assert back.n == 2 and edges(back).shape == (0, 2)
 
     def test_blank_lines_read_as_no_rows(self, tmp_path):
         # a blank line inside the body, and a trailing one: each is counted
@@ -692,7 +692,7 @@ class TestGraphCsv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             back = read_graph_csv(path)
-        assert edge_set(back) == edge_set(g) - {tuple(g.edges()[-1].tolist())}
+        assert edge_set(back) == edge_set(g) - {tuple(edges(g)[-1].tolist())}
         path.write_text(header + "".join(lines) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -701,7 +701,7 @@ class TestGraphCsv:
     def test_last_line_without_newline_is_read(self, tmp_path):
         path = tmp_path / "graph.csv"
         path.write_text("rgg,4,1,inf,0.1,\n0,1\n1,2")
-        assert read_graph_csv(path).edges().tolist() == [[0, 1], [1, 2]]
+        assert edges(read_graph_csv(path)).tolist() == [[0, 1], [1, 2]]
 
     @pytest.mark.parametrize("body,message", [
         ("0,0\n", "edge 0,0 is not 0 <= i < j < 4"),

@@ -185,6 +185,80 @@ class TestDenseSolver:
                         "scipy_version": prov["scipy_version"]}
 
 
+class TestPaddedStorage:
+    """Every operator is stored at the padded order M = 32 ceil(n/32), and
+    full_spectrum drops exactly M - n copies of the pad value, wherever
+    they sort among the operator's own eigenvalues."""
+
+    @pytest.mark.parametrize("n", [1, 5, 32, 33, 300])
+    def test_every_operator_is_stored_padded(self, n):
+        order = 32 * -(-n // 32)
+        g = graph_of(n, [(i, i + 1) for i in range(n - 1)])
+        ops = [assemble_rgg_laplacian(g, 0.1),
+               RegNormLaplacian(n, 0.0, np.eye(n))]
+        for L in ops:
+            assert (L.n, len(L._upper)) == (n, order)
+            assert np.array_equal(np.diag(L._upper)[n:], np.full(order - n, 4.0))
+            assert not np.any(np.triu(L._upper, 1)[n:])
+            assert not np.any(L._upper[:n, n:])
+        classes, solved = spectra._solve_quotient(g, 0.1)[1:]
+        assert solved == 32 * -(-classes // 32)
+
+    @pytest.mark.parametrize("n", [5, 33])
+    def test_eigenvalues_equal_to_the_pad_value_are_kept(self, n):
+        # 0, 4, 4, 5, 6, ..., n + 1: two of the operator's own eigenvalues
+        # equal the pad value and the rest lie on both sides of it
+        values = np.concatenate([[0.0, 4.0, 4.0], np.arange(5.0, n + 2.0)])
+        ev = full_spectrum(RegNormLaplacian(n, 0.0, np.diag(values))).eigenvalues
+        assert ev.size == n
+        assert ev.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("n", [33, 100])
+    def test_spectra_straddling_the_pad_value(self, n):
+        # 3 (R + R^T)/2 has eigenvalues far below and above 4.0
+        R = np.random.default_rng(n).normal(size=(n, n))
+        m = 3.0 * (R + R.T) / 2
+        want = np.linalg.eigvalsh(m)
+        assert want[0] < 0.0 and want[-1] > 4.0
+        ev = full_spectrum(RegNormLaplacian(n, 0.0, m)).eigenvalues
+        assert ev.size == n
+        assert np.max(np.abs(ev - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_moved_pad_value_raises(self, monkeypatch):
+        solve = spectra._eigvalsh
+        monkeypatch.setattr(spectra, "_eigvalsh", lambda a: solve(a) + 1e-15)
+        with pytest.raises(np.linalg.LinAlgError, match="pad"):
+            full_spectrum(rgg_laplacian(64 + 5, 0))
+
+    @pytest.mark.parametrize("n", [300, 777])
+    def test_library_solve_identical_across_thread_counts(self, n):
+        # full_spectrum(L) at orders that are not a multiple of 32, in fresh
+        # processes so that each pin takes effect before numpy loads; the
+        # claim holds on the two-stage route only, as for the CLI
+        probe = (
+            "import hashlib\n"
+            "from rgg_spectra import INF, MetricSpec, assemble_rgg_laplacian, "
+            "build_rgg, full_spectrum, radius_for_gamma, sample_uniform_points\n"
+            "from rgg_spectra.spectra import _solver_provenance\n"
+            "m = MetricSpec(INF)\n"
+            f"g = build_rgg(sample_uniform_points({n}, 1, [3, {n}]), "
+            f"radius_for_gamma(16.0, {n}, 1, m), m)\n"
+            "ev = full_spectrum(assemble_rgg_laplacian(g, 0.1)).eigenvalues\n"
+            "print(_solver_provenance()['eigensolver'], "
+            "hashlib.sha256(ev.tobytes()).hexdigest())")
+        src = os.path.dirname(os.path.dirname(rgg_spectra.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+                   "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                    capture_output=True, text=True, check=True)
+            runs.append(result.stdout.split())
+        if {route for route, _ in runs} != {"dsyevd_2stage"}:
+            pytest.skip("the loaded BLAS exports no dsyevd_2stage")
+        assert runs[0][1] == runs[1][1]
+
+
 class TestSolveSpan:
     """Every dense solve runs inside spectra.full_spectrum, once per solve.
 
@@ -304,30 +378,34 @@ class TestInPlaceSolve:
 
     @pytest.mark.parametrize("kind", ["rgg", "dgg"])
     def test_bitwise_equal_to_solving_a_copy(self, kind):
-        # RGGs have twins and the 257-node lattice is padded, so both are
-        # solved with other arithmetic than the full assembly and meet its
-        # dense oracle to 1e-12; a lattice without twins at a multiple of
-        # 32 nodes is its own quotient, and its bits are the assembly's
+        # RGGs have twins, so they are solved with other arithmetic than the
+        # full assembly and meet its dense oracle to 1e-12; a lattice
+        # without twins is its own quotient, stored in the same padded
+        # format, and its bits are the assembly's at every n
         for n in (257, 512, 1024):
             g = rgg(n, 4) if kind == "rgg" else build_dgg(n, 1, 0.01)
             got = spectrum_of_graph(g, 0.1).eigenvalues
             want = full_spectrum(assemble_rgg_laplacian(g, 0.1)).eigenvalues
-            if kind == "dgg" and n % 32 == 0:
+            if kind == "dgg":
                 assert got.tobytes() == want.tobytes()
             else:
                 assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_fallback_solves_the_assembly(self, monkeypatch):
-        graphs = [rgg(512, 5), build_dgg(512, 1, 0.01), build_dgg(1024, 1, 0.01)]
+        # every graph meets eigvalsh of its whole matrix to 1e-12, and a
+        # lattice without twins gives the bits of its assembly solved on
+        # the same route, at a multiple of 32 nodes or not
+        graphs = [rgg(512, 5), build_dgg(257, 1, 0.01),
+                  build_dgg(512, 1, 0.01), build_dgg(1024, 1, 0.01)]
         oracles = [np.linalg.eigvalsh(dense(assemble_rgg_laplacian(g, 0.1)))
                    for g in graphs]
         monkeypatch.setattr(spectra, "_openblas", lambda *declaration: None)
         for g, want in zip(graphs, oracles):
             got = spectrum_of_graph(g, 0.1).eigenvalues
+            assert np.max(np.abs(got - want)) <= 1e-12
             if g.kind == "dgg":
-                assert got.tobytes() == want.tobytes()
-            else:
-                assert np.max(np.abs(got - want)) <= 1e-12
+                assembly = full_spectrum(assemble_rgg_laplacian(g, 0.1))
+                assert got.tobytes() == assembly.eigenvalues.tobytes()
 
 
 class TestTwinQuotient:

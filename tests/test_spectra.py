@@ -392,9 +392,10 @@ class TestInPlaceSolve:
                 assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_fallback_solves_the_assembly(self, monkeypatch):
-        # every graph meets eigvalsh of its whole matrix to 1e-12, and a
+        # every graph meets eigvalsh of its whole matrix to 1e-12; a
         # lattice without twins gives the bits of its assembly solved on
-        # the same route, at a multiple of 32 nodes or not
+        # the same route at any order, and the bits of that independent
+        # eigvalsh too where its order needs no pad
         graphs = [rgg(512, 5), build_dgg(257, 1, 0.01),
                   build_dgg(512, 1, 0.01), build_dgg(1024, 1, 0.01)]
         oracles = [np.linalg.eigvalsh(dense(assemble_rgg_laplacian(g, 0.1)))
@@ -406,6 +407,8 @@ class TestInPlaceSolve:
             if g.kind == "dgg":
                 assembly = full_spectrum(assemble_rgg_laplacian(g, 0.1))
                 assert got.tobytes() == assembly.eigenvalues.tobytes()
+                if g.n % 32 == 0:
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestTwinQuotient:

@@ -227,7 +227,7 @@ def _cmd_spectrum(cfg: dict) -> list:
             template="%d,%.17g,%.17g,%.17g\n",
             rows=np.column_stack((np.arange(ev.size), ev, analytic_ref,
                                   abs(ev - analytic_ref))))))
-    print(f"{g.kind}: n={g.n} mean_degree={g.mean_degree():.6g} "
+    print(f"{g.kind}: n={g.n} mean_degree={float(np.mean(g.degrees)):.6g} "
           f"lambda=[{ev[0]:.6g}, {ev[-1]:.6g}] classes={classes} "
           f"solved={solved}")
     return outputs

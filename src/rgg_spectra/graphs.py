@@ -27,8 +27,6 @@ from .torus import (_CSV_CHUNK, MAX_RADIUS, MetricSpec, TorusPointSet,
 # Measured on the graph_io_d2 run, 1 << 15 and below left about 14 MB more
 # freed memory mapped after the build, and 1 << 17 was no better
 _PAIR_BLOCK = 1 << 16
-# closed-row entries per batch of the twin search, 2 MB of int64
-_TWIN_BATCH = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,6 @@ class GeometricGraph:
         dst = self.indices[self.indptr[lo]:self.indptr[hi]]
         keep = src < dst
         return np.stack([src[keep], dst[keep]], axis=1)
-
-    def mean_degree(self) -> float:
-        return float(np.mean(self.degrees))
 
 
 def _csr_from_pairs(n: int, pairs):
@@ -110,16 +105,6 @@ def _csr_from_pairs(n: int, pairs):
     return indptr, np.remainder(key, n, out=key)
 
 
-def _row_batches(deg: np.ndarray):
-    """Slices of consecutive nodes whose closed rows, deg + 1 entries each,
-    total about _TWIN_BATCH; a row longer than that is a batch alone."""
-    ends = np.cumsum(deg + 1)
-    cuts = np.searchsorted(ends, np.arange(0, deg.sum() + deg.size,
-                                           _TWIN_BATCH), side="right")
-    cuts = np.unique(np.append(cuts, deg.size))
-    return [slice(a, z) for a, z in zip(cuts, cuts[1:])]
-
-
 def _rows(g: GeometricGraph, v: np.ndarray):
     """The CSR rows of nodes v, concatenated, and the index into v of each
     entry's node."""
@@ -129,75 +114,34 @@ def _rows(g: GeometricGraph, v: np.ndarray):
     return g.indices[np.arange(seg.size) + start[seg]], seg
 
 
-def _closed_rows(g: GeometricGraph, v: np.ndarray):
-    """The closed neighbourhoods of nodes v, each ascending, concatenated.
-
-    Node v[k]'s row is its CSR row with v[k] inserted after the neighbours
-    below it; it ends at ends[k], and holds degrees[v[k]] + 1 entries.
-    """
-    nbr, seg = _rows(g, v)
-    ends = np.cumsum(g.degrees[v] + 1)
-    above = nbr > v[seg]
-    rows = np.empty(nbr.size + v.size, dtype=np.int64)
-    # entry j of CSR row k moves up by the k self entries before it, and
-    # by one more when it lies above v[k]
-    rows[np.arange(nbr.size) + seg + above] = nbr
-    rows[ends - 1 - np.bincount(seg[above], minlength=v.size)] = v
-    return rows, ends
-
-
-def _same_closed_rows(g: GeometricGraph, a: np.ndarray, b: np.ndarray):
-    """Whether a[k] and b[k] have equal closed neighbourhoods, for each k;
-    a[k] and b[k] must have equal degrees."""
-    same = np.empty(a.size, dtype=bool)
-    for part in _row_batches(g.degrees[a]):
-        rows_a, ends = _closed_rows(g, a[part])
-        rows_b, _ = _closed_rows(g, b[part])
-        differ = np.searchsorted(ends, np.flatnonzero(rows_a != rows_b),
-                                 side="right")
-        same[part] = np.bincount(differ, minlength=ends.size) == 0
-    return same
-
-
-def _twin_weights(n: int) -> np.ndarray:
-    """The fixed random 64-bit node weights that _closed_twins sums."""
-    return np.random.default_rng(0).integers(
-        0, np.iinfo(np.uint64).max, n, dtype=np.uint64, endpoint=True)
-
-
 def _closed_twins(g: GeometricGraph) -> np.ndarray:
     """Each node's closed-twin class, named by the class's smallest node.
 
     Nodes i and j are closed twins when their closed neighbourhoods, each
-    node with its neighbours, are equal.  Candidates share a degree and a
-    64-bit wrapping sum of fixed random node weights over the closed
-    neighbourhood, O(n + m) work and one sort of n keys.  The hash only
-    groups: each candidate is then compared entry by entry with its
-    group's smallest node, in batches of about _TWIN_BATCH entries, and
-    those that differ are grouped again among themselves and compared
-    again, so a hash collision costs a pass, never a wrong class.
+    node with its neighbours, are equal.  Row i of an n x (D + 1) table,
+    D the largest degree, holds node i's closed neighbourhood, sorted and
+    padded with n; one stable sort of the rows as byte strings puts equal
+    rows together, each group ascending, so the first names the group.
+    The table has n * (D + 1) entries of the smallest unsigned type that
+    holds n, and its rows are gathered once in sorted order into a copy
+    of the same size: at most 4n^2 bytes together below n = 65,536, 268 MB
+    at spectra.DENSE_CAP, which spectra checks before the search.
     """
     n = g.n
     deg = g.degrees
-    weight = _twin_weights(n)
-    code = np.empty(n, dtype=np.uint64)
+    width = int(deg.max(initial=0)) + 1
     nodes = np.arange(n)
-    for part in _row_batches(deg):
-        rows, ends = _closed_rows(g, nodes[part])
-        total = np.zeros(rows.size + 1, dtype=np.uint64)
-        np.cumsum(weight[rows], out=total[1:])  # wraps modulo 2^64
-        code[part] = total[ends] - total[ends - deg[part] - 1]
-    rep = nodes.copy()
-    todo = nodes
-    while todo.size:
-        # stable, so each group of equal keys is ascending
-        order = todo[np.lexsort((code[todo], deg[todo]))]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = ((code[order[1:]] != code[order[:-1]])
-                     | (deg[order[1:]] != deg[order[:-1]]))
-        rep[order] = order[first][np.cumsum(first) - 1]
-        members = np.sort(order[~first])
-        todo = members[~_same_closed_rows(g, members, rep[members])]
+    table = np.full((n, width), n, dtype=np.min_scalar_type(n))
+    table[np.arange(width) < deg[:, None]] = g.indices
+    table[nodes, deg] = nodes
+    table.sort(axis=1)
+    rows = table.view(f"V{table.itemsize * width}").ravel()
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    rep = np.empty_like(order)
+    rep[order] = order[first][np.cumsum(first) - 1]
     return rep
 
 

@@ -100,6 +100,33 @@ def test_every_public_method_has_a_caller():
     assert unread == []
 
 
+def test_every_private_name_is_read_in_the_package():
+    # a private top-level function, class or constant of the package that
+    # no other top-level statement of it loads, as x or as m.x, is dead
+    defined, loads = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                names = [node.id for node in ast.walk(stmt)
+                         if isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Store)]
+            else:
+                names = []
+            defined += [(f"{path.stem}.{name}", name, len(loads))
+                        for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            loads.append({node.id if isinstance(node, ast.Name) else node.attr
+                          for node in ast.walk(stmt)
+                          if isinstance(node, (ast.Name, ast.Attribute))
+                          and isinstance(node.ctx, ast.Load)})
+    unread = [where for where, name, own in defined
+              if not any(name in read
+                         for k, read in enumerate(loads) if k != own)]
+    assert unread == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -247,18 +247,36 @@ def brute_force_twins(g):
                      for i in range(g.n)])
 
 
+def clustered_rgg(n, cluster, spread, radius):
+    """An RGG on n uniform d = 2 points, seed [5, n], whose first `cluster`
+    points are moved into a box of side `spread` at (0.5, 0.5)."""
+    pts = sample_uniform_points(n, 2, [5, n]).points
+    pts[:cluster] = 0.5 + spread * pts[:cluster]
+    return build_rgg(TorusPointSet(dim=2, points=pts), radius)
+
+
 def twin_test_graphs():
     """RGGs with many twins (d = 1), some (d = 2) and almost none (d = 3),
-    under three metrics, and lattices without twins and complete."""
+    under three metrics; d = 1 RGGs on either side of n = 256, where the
+    twin table's entries widen from one byte to two; a d = 2 RGG whose
+    tight cluster makes the largest degree far above the mean; lattices
+    without twins and complete; a graph with isolated nodes among
+    connected ones, and an edgeless one."""
     for d, gamma in ((1, 16.0), (2, 12.0), (3, 10.0)):
         for p in (INF, 2.0, 1.0):
             metric = MetricSpec(p)
             for n in (64, 777):
                 yield build_rgg(sample_uniform_points(n, d, [5, n]),
                                 radius_for_gamma(gamma, n, d, metric), metric)
+    for n in (255, 256):
+        yield build_rgg(sample_uniform_points(n, 1, [5, n]),
+                        radius_for_gamma(16.0, n, 1, MetricSpec(INF)))
+    yield clustered_rgg(2048, 256, 0.01, radius_for_gamma(12.0, 2048, 2,
+                                                          MetricSpec(INF)))
     yield build_dgg(512, 1, 0.01)
     yield build_dgg(9, 1, dgg_radius(4, 9))  # complete
     yield build_dgg(25, 2, dgg_radius(2, 5))  # complete
+    yield graph_of(8, [(1, 2), (1, 3), (2, 3), (5, 6)])  # 0, 4 and 7 isolated
     yield graph_of(5, [])  # edgeless
 
 
@@ -267,19 +285,25 @@ class TestClosedTwins:
         for g in twin_test_graphs():
             assert np.array_equal(graphs._closed_twins(g), brute_force_twins(g))
 
-    def test_hash_collisions_are_regrouped(self, monkeypatch):
-        # with every weight 0 all nodes of one degree share a hash, so the
-        # exact comparison alone separates the classes, over several passes
-        monkeypatch.setattr(graphs, "_twin_weights",
-                            lambda n: np.zeros(n, dtype=np.uint64))
-        for g in twin_test_graphs():
-            assert np.array_equal(graphs._closed_twins(g), brute_force_twins(g))
-
-    def test_batches_of_one_row(self, monkeypatch):
-        # every batch boundary falls between two rows
-        monkeypatch.setattr(graphs, "_TWIN_BATCH", 3)
-        for g in twin_test_graphs():
-            assert np.array_equal(graphs._closed_twins(g), brute_force_twins(g))
+    @pytest.mark.parametrize("make", [
+        # near-complete: mean degree 1,622, the largest 2,047
+        lambda: clustered_rgg(2048, 2048, 0.15, 0.1),
+        lambda: build_rgg(sample_uniform_points(4096, 1, [0, 4096]),
+                          radius_for_gamma(16.0, 4096, 1, MetricSpec(INF))),
+    ], ids=["clustered_2048", "uniform_d1_4096"])
+    def test_table_memory(self, make):
+        # the n x (D + 1) table and its rows gathered in sorted order, T
+        # bytes each, are live at once, and the fill mask, n * (D + 1)
+        # bools, only with the table; beside them the search holds at
+        # most seven int64 vectors of n (the node ids, the order, the
+        # classes and the four of the naming step) and two bool ones
+        g = make()
+        graphs._closed_twins(g)  # numpy's lazy imports
+        n = g.n
+        table = n * (int(g.degrees.max()) + 1) * np.min_scalar_type(n).itemsize
+        peak, rep = traced_peak(graphs._closed_twins, g)
+        assert peak <= 2 * table + 7 * 8 * n + 2 * n
+        assert np.array_equal(rep, brute_force_twins(g))
 
     def test_quotient_of_a_hand_built_graph(self):
         # {0, 1} and {4, 5, 6, 7} are twin classes; 2 and 3 are alone
@@ -448,7 +472,7 @@ class TestBuildRgg:
         r = radius_for_gamma(12, 4096, 2, MetricSpec(INF))
         for seed in range(20):
             g = build_rgg(sample_uniform_points(4096, 2, seed), r)
-            lo.append(g.mean_degree())
+            lo.append(g.degrees.mean())
         assert 11.0 <= min(lo) and max(lo) <= 13.0
 
 

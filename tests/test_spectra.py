@@ -90,7 +90,13 @@ class TestDenseSpectra:
         s = full_spectrum(L)
         assert np.allclose(s.eigenvalues, [0.0, 1.0], atol=1e-14)
 
-    def test_order_above_dense_cap_rejected(self):
+    def test_order_above_dense_cap_rejected(self, monkeypatch):
+        # the cap is checked before the twin search, whose n x (D + 1)
+        # table it bounds
+        def no_twin_search(g):
+            raise AssertionError("twin search ran above the dense cap")
+
+        monkeypatch.setattr(spectra, "_twin_quotient", no_twin_search)
         g = build_dgg(9000, 1, 0.0002)
         with pytest.raises(CapacityError):
             spectrum_of_graph(g, 0.1)
